@@ -3,7 +3,7 @@
 Subcommands: ``simulate``, ``certify``, ``estimate``, ``bound``,
 ``sweep-dim``, ``sweep-gamma``.  Shared flags (valid after any
 subcommand): ``--config PATH``, ``--seed U64``, ``--out DIR``,
-``--threads K``, ``--full-scale``.  The output directory defaults to
+``--full-scale``.  The output directory defaults to
 ``$SLDSIM_OUT`` when set, else ``./sldsim-out``.
 
 Exit codes: 0 success, 1 runtime failure inside a computation, 2 bad
@@ -314,8 +314,6 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         overrides["eps_stop"] = args.eps_stop
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
@@ -363,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR",
                         help="output directory "
                              "(default $SLDSIM_OUT or ./sldsim-out)")
-    common.add_argument("--threads", type=int, default=None, metavar="K",
-                        help="worker threads for sweep trials")
     common.add_argument("--full-scale", action="store_true",
                         help="use the multi-day grid and budgets")
 

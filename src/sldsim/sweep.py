@@ -11,6 +11,11 @@ contraction and across contraction at fixed dimension, on a two-shell
 benchmark system that contracts outside a ball of radius ``rho_ball``
 and expands inside it.
 
+Each cell runs its trials in lockstep: one kernel advances a ``(K, n)``
+block of chains, every chain on its own generator, and drops a row when
+its rule fires.  A trial's result is the one a chain run alone on the
+same generator would give, bit for bit.
+
 Desk-scale defaults finish in seconds on one core; ``full_scale`` is
 the multi-day configuration and exists to be written into manifests, not
 to be run casually.
@@ -23,14 +28,14 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.stats
 
-from .errors import ConfigError, DivergenceError, MaxStepsExceeded, NotCertifiable
+from .errors import (ConfigError, DivergenceError, MaxStepsExceeded,
+                     NoRegion, NotCertifiable)
 from .ergodicity import certify, classify_regions
 from .model import (
     DIVERGENCE_LIMIT,
@@ -45,6 +50,12 @@ from .model import (
 )
 
 _NOISE_CHUNK = 4096
+
+# Trials advanced together by the stopping-rule kernel; bounds its noise
+# buffer (``_GROUP * _NOISE_BLOCK * n`` doubles) at any trial count.
+_GROUP = 128
+# Noise rows each trial draws per refill of that buffer.
+_NOISE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -68,7 +79,6 @@ class SweepConfig:
     gamma_trials: int | None = None
     master_seed: int = 0
     max_steps: int = 10_000_000
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if not self.dims or any(d < 1 for d in self.dims):
@@ -92,8 +102,6 @@ class SweepConfig:
             raise ConfigError("trials must be at least 1")
         if self.max_steps < 1:
             raise ConfigError("max_steps must be at least 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
 
     @classmethod
     def full_scale(cls, **overrides) -> "SweepConfig":
@@ -191,69 +199,142 @@ def pseudo_sample_complexity(cl: ClosedLoop, model: SldsModel,
     probability about ``2 * eps_stop * f * k``, ``f`` the reward density
     at its mean, so ``E N ~ 0.5 * sqrt(pi / (eps_stop * f))``.
 
-    A scalar fast path covers one-dimensional shell systems with norm
-    reward; it consumes the generator stream identically to the general
-    path (full noise chunks of the same shape), so both paths return the
-    same N for the same seed.
+    This is the one-chain case of the lockstep kernel that runs sweep
+    cells, so a trial gives the same N here as inside its cell.  Noise is
+    drawn in fixed blocks of rows; batched normal draws are prefix-stable,
+    so the block size changes no N, only where ``rng`` is left afterwards.
+    """
+    (n_pseudo,) = _stopping_times(cl, model, spec, eps_stop, [rng],
+                                  max_steps, x0)
+    if n_pseudo == max_steps:
+        raise MaxStepsExceeded(cap=max_steps)
+    return int(n_pseudo)
+
+
+def _scalar_gains(cl: ClosedLoop) -> np.ndarray | None:
+    """Per-region gains when every closed-loop matrix is exactly ``g I``.
+
+    Scaling a row by ``g`` then equals the row's product with ``g I`` bit
+    for bit, at a fraction of the cost."""
+    eye = np.eye(cl.ahat[0].shape[0])
+    gains = np.array([float(a[0, 0]) for a in cl.ahat])
+    if all(np.array_equal(a, g * eye) for a, g in zip(cl.ahat, gains)):
+        return gains
+    return None
+
+
+# The stacked row products below run one BLAS dot or gemv per row, the
+# same call a single vector makes, so each row's value equals the per-
+# vector ``np.linalg.norm(x)``, ``A @ x`` or ``x @ P @ x`` bit for bit,
+# whatever the other rows are.  ``X @ A.T`` and ``np.linalg.norm(X,
+# axis=1)`` do not: their blocking can move the last bit.
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def _row_products(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``a @ x_k`` for every row ``x_k``."""
+    return np.matmul(x[:, None, :], a.T)[:, 0]
+
+
+def _row_regions(model: SldsModel, x: np.ndarray,
+                 norms: np.ndarray) -> np.ndarray:
+    """:func:`region_of` per row: the first declared region containing
+    it; radial shells are tested on the rows' norms."""
+    j = np.full(len(x), -1)
+    for idx, region in enumerate(model.regions):
+        if region.kind == "radial":
+            inside = norms <= region.r_hi
+            if region.r_lo != 0.0:
+                inside &= norms > region.r_lo
+        else:
+            inside = np.all(_row_products(x, region.L) <= region.C, axis=1)
+        j[(j < 0) & inside] = idx
+    unmatched = j < 0
+    if unmatched.any():
+        raise NoRegion(x[np.argmax(unmatched)])
+    return j
+
+
+def _stopping_times(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
+                    eps_stop: float, rngs: list[np.random.Generator],
+                    max_steps: int,
+                    x0: np.ndarray | None = None) -> np.ndarray:
+    """The stopping rule of :func:`pseudo_sample_complexity` for one chain
+    per generator, run in lockstep groups of at most ``_GROUP`` chains.
+
+    Returns each chain's N, or ``max_steps`` where it was censored (a
+    chain that stops has N < ``max_steps``).  Raises
+    :class:`DivergenceError` or :class:`NoRegion` as soon as any chain
+    meets one.
     """
     if eps_stop <= 0:
         raise ValueError("eps_stop must be positive")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    x = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
-    if x.shape != (model.n,):
+    x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (model.n,):
         raise ValueError(f"x0 must have shape ({model.n},)")
+    gains = _scalar_gains(cl)
+    return np.concatenate([
+        _lockstep(cl, model, spec, eps_stop, rngs[lo:lo + _GROUP],
+                  max_steps, x0, gains)
+        for lo in range(0, len(rngs), _GROUP)])
 
-    gains = _radial_scalar_gains(cl, model)
-    scalar = (model.n == 1 and gains is not None
-              and spec.p_hat_is_identity)
 
-    # Chunks grow geometrically: short runs waste few draws, long runs
-    # amortize refill overhead.  Chunk size never changes the values
-    # consumed (batched normal draws are prefix-stable), only the
-    # surplus left in the final buffer.
-    total = 0.0
-    count = 0
-    chunk = 128
-    buf = np.empty((0, model.n))
-    buf_i = 0
-
-    if scalar:
-        xs = float(x[0])
-        while count < max_steps:
-            if buf_i == len(buf):
-                buf = rng.standard_normal((chunk, 1))
-                buf_i = 0
-                chunk = min(2 * chunk, _NOISE_CHUNK)
-            g = _scalar_gain_of(gains, abs(xs))
-            xs = g * xs + buf[buf_i, 0]
-            buf_i += 1
-            r = abs(xs)
-            if r > DIVERGENCE_LIMIT:
-                raise DivergenceError(step_index=count + 1, norm=r)
-            if count >= 1 and abs(total / count - r) / (count + 1) < eps_stop:
-                return count
-            total += r
-            count += 1
-        raise MaxStepsExceeded(cap=max_steps)
-
-    while count < max_steps:
-        if buf_i == len(buf):
-            buf = rng.standard_normal((chunk, model.n))
-            buf_i = 0
-            chunk = min(2 * chunk, _NOISE_CHUNK)
-        j = region_of(model, x)
-        x = cl.ahat[j] @ x + buf[buf_i]
-        buf_i += 1
-        nrm = float(np.linalg.norm(x))
-        if nrm > DIVERGENCE_LIMIT:
-            raise DivergenceError(step_index=count + 1, norm=nrm)
-        r = nrm if spec.p_hat_is_identity else reward(x, spec)
-        if count >= 1 and abs(total / count - r) / (count + 1) < eps_stop:
-            return count
+def _lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
+              eps_stop: float, rngs: list[np.random.Generator],
+              max_steps: int, x0: np.ndarray,
+              gains: np.ndarray | None) -> np.ndarray:
+    k = len(rngs)
+    n_pseudo = np.full(k, max_steps)
+    # Chain i fills noise[i] from its own generator; x, norms and total
+    # hold the live chains only, whose indices are in live.
+    noise = np.empty((k, _NOISE_BLOCK, model.n))
+    live = np.arange(k)
+    x = np.tile(x0, (k, 1))
+    norms = _row_norms(x)
+    total = np.zeros(k)
+    for count in range(max_steps):
+        t = count % _NOISE_BLOCK
+        if t == 0:
+            for i in live:
+                rngs[i].standard_normal(out=noise[i])
+        j = _row_regions(model, x, norms)
+        if gains is not None:
+            x = gains[j][:, None] * x
+        else:
+            stepped = np.empty_like(x)
+            for idx, a in enumerate(cl.ahat):
+                rows = j == idx
+                if rows.any():
+                    stepped[rows] = _row_products(x[rows], a)
+            x = stepped
+        x += noise[live, t]
+        norms = _row_norms(x)
+        over = norms > DIVERGENCE_LIMIT
+        if over.any():
+            raise DivergenceError(step_index=count + 1,
+                                  norm=float(norms[np.argmax(over)]))
+        if spec.p_hat_is_identity:
+            r = norms
+        else:
+            quad = np.matmul(np.matmul(x[:, None, :], spec.p_hat),
+                             x[:, :, None])[:, 0, 0]
+            r = np.sqrt(np.maximum(quad, 0.0))
+        if count >= 1:
+            hit = np.abs(total / count - r) / (count + 1) < eps_stop
+            if hit.any():
+                n_pseudo[live[hit]] = count
+                keep = ~hit
+                live, x, norms, total, r = (live[keep], x[keep],
+                                            norms[keep], total[keep],
+                                            r[keep])
+                if not live.size:
+                    break
         total += r
-        count += 1
-    raise MaxStepsExceeded(cap=max_steps)
+    return n_pseudo
 
 
 def reference_reward_average(cl: ClosedLoop, model: SldsModel,
@@ -332,6 +413,10 @@ class RawTrial:
 
 @dataclass(frozen=True)
 class CellSummary:
+    """Aggregate of one grid cell.  ``mean_runtime_s`` is the cell's wall
+    time divided by its trial count; its trials run together, so no
+    single trial has a time of its own."""
+
     n: int
     gamma: float
     trials: int
@@ -374,31 +459,22 @@ def trial_seed_sequence(master_seed: int, tag: int, n: int, gamma: float,
 def _run_cell(model: SldsModel, cl: ClosedLoop, spec: RewardSpec,
               cfg: SweepConfig, tag: int, n: int, gamma: float,
               trials: int) -> tuple[list[RawTrial], CellSummary]:
-    def one(trial: int) -> tuple[RawTrial, float]:
-        ss = trial_seed_sequence(cfg.master_seed, tag, n, gamma, trial)
-        seed_word = int(ss.generate_state(1, np.uint64)[0])
-        rng = np.random.default_rng(ss)
-        t0 = time.perf_counter()
-        try:
-            n_pseudo = pseudo_sample_complexity(
-                cl, model, spec, cfg.eps_stop, rng, cfg.max_steps)
-            censored = False
-        except MaxStepsExceeded:
-            n_pseudo = cfg.max_steps
-            censored = True
-        dt = time.perf_counter() - t0
-        return (RawTrial(n=n, gamma=gamma, trial=trial,
-                         n_pseudo=n_pseudo, censored=censored,
-                         seed=seed_word), dt)
+    """Run a cell's trials through one lockstep kernel call.
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(one, range(trials)))
-    else:
-        outcomes = [one(t) for t in range(trials)]
-
-    raws = [r for r, _ in outcomes]
-    runtimes = [dt for _, dt in outcomes]
+    Trial t draws only from its ``trial_seed_sequence`` stream, so its row
+    depends on the master seed and its grid values, not on how many
+    trials share its lockstep group."""
+    seqs = [trial_seed_sequence(cfg.master_seed, tag, n, gamma, trial)
+            for trial in range(trials)]
+    t0 = time.perf_counter()
+    n_pseudo = _stopping_times(cl, model, spec, cfg.eps_stop,
+                               [np.random.default_rng(ss) for ss in seqs],
+                               cfg.max_steps)
+    wall = time.perf_counter() - t0
+    raws = [RawTrial(n=n, gamma=gamma, trial=trial, n_pseudo=int(count),
+                     censored=bool(count == cfg.max_steps),
+                     seed=int(ss.generate_state(1, np.uint64)[0]))
+            for trial, (ss, count) in enumerate(zip(seqs, n_pseudo))]
     n_censored = sum(r.censored for r in raws)
     frac = n_censored / trials
     # Below 5 percent censoring the capped rows are dropped from the
@@ -413,7 +489,7 @@ def _run_cell(model: SldsModel, cl: ClosedLoop, spec: RewardSpec,
               if arr.size > 1 else 0.0)
     cell = CellSummary(n=n, gamma=gamma, trials=trials, n_avg=n_avg,
                        stderr=stderr, censored_frac=frac,
-                       mean_runtime_s=float(np.mean(runtimes)))
+                       mean_runtime_s=wall / trials)
     return raws, cell
 
 
@@ -473,7 +549,10 @@ def sweep_dimension(cfg: SweepConfig) -> SweepResult:
 
 def sweep_gamma(cfg: SweepConfig) -> SweepResult:
     """Mean pseudo sample count across ``cfg.gammas`` at each dimension
-    in ``cfg.gamma_dims``, with a rank correlation per dimension."""
+    in ``cfg.gamma_dims``, with a rank correlation per dimension.
+
+    ``fits`` is empty: the result keeps the dimension sweep's shape, but
+    no line is fitted across the few dimensions of a gain sweep."""
     trials = cfg.gamma_trials or cfg.trials
     _certify_cells([(n, g) for n in cfg.gamma_dims for g in cfg.gammas],
                    cfg.c_root, cfg.rho_ball)
@@ -496,15 +575,8 @@ def sweep_gamma(cfg: SweepConfig) -> SweepResult:
         else:
             stat = scipy.stats.spearmanr(cfg.gammas, per_gamma).statistic
             spearman[n] = None if math.isnan(stat) else float(stat)
-    fits: dict[float, LinearFit] = {}
-    if len(cfg.gamma_dims) >= 2:
-        for gamma in cfg.gammas:
-            pts = [(c.n, c.n_avg) for c in cells if c.gamma == gamma]
-            fit = _fit_upper_half(pts)
-            if fit is not None:
-                fits[gamma] = fit
     return SweepResult(kind="gamma", config=cfg, raw=tuple(raw),
-                       cells=tuple(cells), fits=fits, spearman=spearman)
+                       cells=tuple(cells), fits={}, spearman=spearman)
 
 
 def write_raw_csv(result: SweepResult, path: str | Path) -> None:

@@ -12,15 +12,19 @@ from sldsim import (
     ConfigError,
     DivergenceError,
     MaxStepsExceeded,
+    NoRegion,
     Policy,
     RewardSpec,
     SldsModel,
     SweepConfig,
     build_case_study,
     closed_loop,
+    polyhedron,
     pseudo_sample_complexity,
     radial_shell,
     reference_reward_average,
+    region_of,
+    reward,
     run_pipeline,
     simulate,
     sweep_dimension,
@@ -28,6 +32,7 @@ from sldsim import (
     trial_seed_sequence,
 )
 import sldsim.sweep as sweep_mod
+from sldsim.model import DIVERGENCE_LIMIT
 from sldsim.sweep import (
     _fit_upper_half,
     sweep_config_from_dict,
@@ -74,8 +79,6 @@ class TestSweepConfig:
             SweepConfig(gamma_trials=0)
         with pytest.raises(ConfigError):
             SweepConfig(max_steps=0)
-        with pytest.raises(ConfigError):
-            SweepConfig(threads=0)
 
     def test_expanding_gains_are_configurable(self):
         # Certification owns the failure diagnostic, not the config.
@@ -148,14 +151,19 @@ class TestPseudoSampleComplexity:
         assert a == b and a >= 1
 
     def test_scalar_and_generic_paths_agree(self, monkeypatch):
-        model, cl, spec = bench()
-        fast = pseudo_sample_complexity(cl, model, spec, 1e-3,
-                                        np.random.default_rng(4), 10**6)
-        monkeypatch.setattr(sweep_mod, "_radial_scalar_gains",
-                            lambda cl, model: None)
-        slow = pseudo_sample_complexity(cl, model, spec, 1e-3,
-                                        np.random.default_rng(4), 10**6)
-        assert fast == slow
+        # The case study's matrices are g * I: the kernel scales rows by
+        # g unless its detection is disabled, forcing the dense products.
+        systems = [bench(n) for n in (1, 10)]
+        assert all(sweep_mod._scalar_gains(cl) is not None
+                   for _, cl, _ in systems)
+
+        def stopping_times():
+            return [pseudo_sample_complexity(cl, model, spec, 1e-3,
+                                             np.random.default_rng(4), 10**6)
+                    for model, cl, spec in systems]
+        fast = stopping_times()
+        monkeypatch.setattr(sweep_mod, "_scalar_gains", lambda cl: None)
+        assert stopping_times() == fast
 
     def test_start_state_matters(self):
         model, cl, spec = bench()
@@ -245,6 +253,211 @@ class TestStoppingRuleOracle:
         want = lockstep_stopping_times(n, gamma, cfg.c_root, cfg.rho_ball,
                                        cfg.eps_stop, rngs())
         assert got == want.tolist()
+
+
+def per_trial_stopping_time(cl, model, spec, eps_stop, rng, max_steps,
+                            x0=None):
+    """The per-trial loop that computed the stopping rule before the
+    lockstep kernel, kept as its oracle: ``(N, censored)`` for one chain.
+
+    Both of its paths are here: a scalar loop for one-dimensional shell
+    systems with norm reward, and the general loop over ``region_of``
+    and ``reward``.  Noise chunks grow from 128 to 4096 rows."""
+    x = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
+    eye = np.eye(model.n)
+    shells = [(region.r_lo, region.r_hi, float(a[0, 0]))
+              for region, a in zip(model.regions, cl.ahat)]
+    scalar = (model.n == 1 and spec.p_hat_is_identity
+              and all(region.kind == "radial"
+                      and np.array_equal(a, a[0, 0] * eye)
+                      for region, a in zip(model.regions, cl.ahat)))
+    total = 0.0
+    count = 0
+    chunk = 128
+    buf = np.empty((0, model.n))
+    buf_i = 0
+
+    if scalar:
+        xs = float(x[0])
+        while count < max_steps:
+            if buf_i == len(buf):
+                buf = rng.standard_normal((chunk, 1))
+                buf_i = 0
+                chunk = min(2 * chunk, 4096)
+            r = abs(xs)
+            g = next(g for r_lo, r_hi, g in shells
+                     if ((r <= r_hi) if r_lo == 0.0 else (r_lo < r <= r_hi)))
+            xs = g * xs + buf[buf_i, 0]
+            buf_i += 1
+            r = abs(xs)
+            if r > DIVERGENCE_LIMIT:
+                raise DivergenceError(step_index=count + 1, norm=r)
+            if count >= 1 and abs(total / count - r) / (count + 1) < eps_stop:
+                return count, False
+            total += r
+            count += 1
+        return max_steps, True
+
+    while count < max_steps:
+        if buf_i == len(buf):
+            buf = rng.standard_normal((chunk, model.n))
+            buf_i = 0
+            chunk = min(2 * chunk, 4096)
+        j = region_of(model, x)
+        x = cl.ahat[j] @ x + buf[buf_i]
+        buf_i += 1
+        nrm = float(np.linalg.norm(x))
+        if nrm > DIVERGENCE_LIMIT:
+            raise DivergenceError(step_index=count + 1, norm=nrm)
+        r = nrm if spec.p_hat_is_identity else reward(x, spec)
+        if count >= 1 and abs(total / count - r) / (count + 1) < eps_stop:
+            return count, False
+        total += r
+        count += 1
+    return max_steps, True
+
+
+def _scaled(rng, n, norm):
+    m = rng.standard_normal((n, n))
+    return norm * m / np.linalg.norm(m, 2)
+
+
+def dense_shells(n):
+    """Three radial shells with dense dynamics (contracting outside,
+    expanding in the middle), feedback and a non-identity reward; the
+    radii grow with the noise norm, so chains visit every shell."""
+    rng = np.random.default_rng(100 + n)
+    r1, r2 = math.sqrt(n), 2.5 * math.sqrt(n)
+    model = SldsModel(
+        n=n, p=1,
+        regions=(radial_shell(0.0, r1), radial_shell(r1, r2),
+                 radial_shell(r2, math.inf)),
+        dynamics=tuple((_scaled(rng, n, g), rng.standard_normal((n, 1)))
+                       for g in (0.8, 1.3, 0.6)))
+    policy = Policy(pi=0.05 * rng.standard_normal((1, n)))
+    q = rng.standard_normal((n, n))
+    spec = RewardSpec.bind(Q=q @ q.T + np.eye(n), R=np.eye(1),
+                           policy=policy)
+    return model, closed_loop(model, policy), spec
+
+
+def quadrants():
+    """Four polyhedral quadrants in 2-D, each with its own dense gain."""
+    rng = np.random.default_rng(7)
+    signs = ((-1, -1), (1, -1), (1, 1), (-1, 1))
+    model = SldsModel(
+        n=2, p=1,
+        regions=tuple(polyhedron(np.diag(sg), np.zeros(2), True)
+                      for sg in signs),
+        dynamics=tuple((_scaled(rng, 2, g), np.zeros((2, 1)))
+                       for g in (0.5, 0.7, 0.9, 0.6)))
+    policy = Policy(pi=np.zeros((1, 2)))
+    spec = RewardSpec.bind(Q=np.eye(2), R=np.eye(1), policy=policy)
+    return model, closed_loop(model, policy), spec
+
+
+class TestLockstepKernel:
+    """The sweeps' lockstep kernel against the per-trial oracle: equal
+    ``(N, censored)`` for every trial, whatever runs beside it."""
+
+    @staticmethod
+    def rngs(k, seed=0):
+        return [np.random.default_rng([seed, t]) for t in range(k)]
+
+    def check(self, system, eps_stop, max_steps, k, x0=None):
+        model, cl, spec = system
+        got = sweep_mod._stopping_times(cl, model, spec, eps_stop,
+                                        self.rngs(k), max_steps, x0)
+        want = [per_trial_stopping_time(cl, model, spec, eps_stop, rng,
+                                        max_steps, x0)
+                for rng in self.rngs(k)]
+        assert [(int(m), m == max_steps) for m in got] == want
+        return want
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_dense_shells(self, n):
+        system = dense_shells(n)
+        # Dense for n > 1; at n = 1 every matrix is some g * I.
+        assert (sweep_mod._scalar_gains(system[1]) is None) == (n > 1)
+        assert not system[2].p_hat_is_identity
+        want = self.check(system, 3e-3, 10**5, 300)
+        assert not any(c for _, c in want)
+
+    def test_polyhedral_quadrants(self):
+        want = self.check(quadrants(), 3e-3, 10**5, 200)
+        assert not any(c for _, c in want)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_case_study(self, n):
+        # g * I matrices: the kernel scales rows; n = 1 is the oracle's
+        # scalar loop.
+        self.check(bench(n), 1e-3, 10**5, 100)
+
+    def test_given_start_state(self):
+        self.check(bench(3), 1e-3, 10**5, 50, x0=np.array([40.0, 0, -3]))
+        self.check(dense_shells(5), 3e-3, 10**5, 50, x0=np.full(5, 4.0))
+
+    def test_cap_censors(self):
+        want = self.check(bench(2), 1e-3, 25, 100)
+        censored = sum(c for _, c in want)
+        assert 0 < censored < len(want)
+
+    def test_batch_does_not_change_a_trial(self):
+        model, cl, spec = bench(2)
+        k = sweep_mod._GROUP + 20   # two lockstep groups
+
+        def run(count):
+            return sweep_mod._stopping_times(cl, model, spec, 1e-2,
+                                             self.rngs(count), 10**5)
+        whole = run(k).tolist()
+        assert run(5).tolist() == whole[:5]
+        assert run(sweep_mod._GROUP + 1).tolist() == whole[:sweep_mod._GROUP + 1]
+        alone = [pseudo_sample_complexity(cl, model, spec, 1e-2, rng, 10**5)
+                 for rng in self.rngs(k)]
+        assert alone == whole
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 50, 200])
+    def test_row_forms_equal_per_vector_forms(self, n):
+        # Last-bit differences rarely move an N, so the row forms are
+        # pinned directly; gathered rows stand in for live chains.
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        for k in (1, 7, 100):
+            x = (5 * rng.standard_normal((k + 3, n)))[rng.permutation(k)]
+            assert np.array_equal(sweep_mod._row_products(x, a),
+                                  np.array([a @ v for v in x]))
+            assert np.array_equal(sweep_mod._row_norms(x),
+                                  np.array([np.linalg.norm(v) for v in x]))
+
+    def test_row_regions_first_declared_wins(self):
+        # Overlapping regions, so the declaration order decides.
+        model = SldsModel(
+            n=2, p=1,
+            regions=(polyhedron([[1.0, 0.0]], [1.0], True),
+                     radial_shell(0.0, 3.0),
+                     radial_shell(2.0),
+                     polyhedron([[0.0, 0.0]], [0.0], True)),
+            dynamics=((np.eye(2), np.zeros((2, 1))),) * 4)
+        x = 3 * np.random.default_rng(0).standard_normal((500, 2))
+        got = sweep_mod._row_regions(model, x, sweep_mod._row_norms(x))
+        assert got.tolist() == [region_of(model, v) for v in x]
+        assert set(got.tolist()) == {0, 1, 2}
+
+    def test_no_region_raises(self):
+        model = SldsModel(n=2, p=1, regions=(radial_shell(1.0),),
+                          dynamics=((np.eye(2), np.zeros((2, 1))),))
+        cl = closed_loop(model, Policy(pi=np.zeros((1, 2))))
+        spec = RewardSpec.bind(Q=np.eye(2), R=np.eye(1),
+                               policy=Policy(pi=np.zeros((1, 2))))
+        with pytest.raises(NoRegion):
+            sweep_mod._stopping_times(cl, model, spec, 1e-3, self.rngs(3),
+                                      100)
+
+    def test_divergence_guard(self):
+        model, cl, spec = bench(2, gamma_root=3.0, c_root=3.0)
+        with pytest.raises(DivergenceError):
+            sweep_mod._stopping_times(cl, model, spec, 1e-15, self.rngs(4),
+                                      10_000)
 
 
 class TestReferenceRewardAverage:
@@ -349,7 +562,7 @@ class TestSweeps:
         assert [(c.n, c.gamma) for c in res.cells] == [(1, 0.5), (1, 0.9)]
         assert set(res.spearman) == {1}
         assert abs(res.spearman[1]) == pytest.approx(1.0)
-        assert res.fits == {}  # single dimension: no per-gamma fit
+        assert res.fits == {}  # the gain sweep fits no line
 
     def test_single_gamma_has_no_rank_statistic(self):
         cfg = SweepConfig(gammas=(0.7,), gamma_dims=(1,), trials=2,
@@ -455,6 +668,8 @@ class TestRunPipeline:
         assert run_pipeline(unknown_kind, tmp_path / "o3") == 2
         bad_field = self.write(tmp_path, {"sweep": {"bogus": 1}})
         assert run_pipeline(bad_field, tmp_path / "o4") == 2
+        removed_field = self.write(tmp_path, {"sweep": {"threads": 2}})
+        assert run_pipeline(removed_field, tmp_path / "o5") == 2
 
     def test_uncertifiable_exits_3(self, tmp_path):
         cfg = self.write(tmp_path, {
