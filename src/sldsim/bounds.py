@@ -19,12 +19,12 @@ so required sample counts are reported for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ergodicity import Certificate
-from .model import ClosedLoop, RewardSpec, SldsModel, simulate
+from .model import ClosedLoop, RewardSpec, SldsModel, lockstep
 from .regen import operational_minorization
 
 
@@ -162,7 +162,6 @@ class BoundReport:
     term_leading_operational: float
     log_term_leading_certified: float
     total_operational: float
-    n_required: RequiredSamples | None = field(default=None)
 
     @property
     def finite_terms(self) -> tuple[float, float, float, float, float]:
@@ -260,10 +259,12 @@ def validate_bound(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     how often the time-averaged reward misses ``rho_star`` by more than
     ``eps``.
 
-    The empirical failure rate is compared against
-    ``delta + 2 * sqrt(delta * (1 - delta) / trials)``, two standard
-    errors above the bound's guarantee, so a correct bound fails this
-    check with probability well under 5 percent.
+    Trial ``t`` averages the rewards of ``x_1 .. x_{n_used}`` on its own
+    generator; all trials run together through
+    :func:`~sldsim.model.lockstep`.  The empirical failure rate is compared
+    against ``delta + 2 * sqrt(delta * (1 - delta) / trials)``, two
+    standard errors above the bound's guarantee, so a correct bound fails
+    this check with probability well under 5 percent.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -272,17 +273,11 @@ def validate_bound(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
                            x0_norm_sq=0.0 if x0 is None
                            else float(x0 @ x0))
     n_used = req.n_operational
-    if x0 is None:
-        x0 = np.zeros(model.n)
-
-    failures = 0
-    for trial in range(trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(master_seed, spawn_key=(7, trial)))
-        traj = simulate(cl, model, spec, x0, n_used + 1, rng)
-        avg = float(np.mean(traj.rewards[1:]))
-        if abs(avg - rho_star) > eps:
-            failures += 1
+    rngs = [np.random.default_rng(
+                np.random.SeedSequence(master_seed, spawn_key=(7, trial)))
+            for trial in range(trials)]
+    _, totals = lockstep(cl, model, spec, rngs, n_used, x0)
+    failures = int(np.sum(np.abs(totals / n_used - rho_star) > eps))
 
     rate = failures / trials
     threshold = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / trials)

@@ -26,15 +26,17 @@ from .bounds import BoundConstants, bound_terms, required_samples
 from .config import (
     fmt,
     load_model_config,
+    read_json,
     sha256_of_file,
     write_manifest,
     write_trajectory_csv,
 )
-from .errors import ConfigError, NotCertifiable, SldsimError
+from .errors import ConfigError, SldsimError, report_error
 from .ergodicity import certify, classify_regions, drift_check, sample_in_ball
 from .model import closed_loop, simulate
 from .regen import (
     Minorization,
+    _block_sums,
     estimate_all,
     operational_minorization,
     rewards_of,
@@ -134,14 +136,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     print(f"log beta (operational)       {op.log_beta!r}")
     n_quad = len(report.quadratic_violations)
     n_scaled = len(report.scaled_violations)
-    print(f"quadratic drift spot check   "
-          f"{'PASS' if n_quad == 0 else 'FAIL'} "
-          f"({n_quad}/1000 violations, "
-          f"worst margin {report.worst_quadratic_margin:.3g})")
-    print(f"scaled drift spot check      "
-          f"{'PASS' if n_scaled == 0 else 'FAIL'} "
-          f"({n_scaled}/1000 violations, "
-          f"worst margin {report.worst_scaled_margin:.3g})")
+    for name, count, worst in (
+            ("quadratic", n_quad, report.worst_quadratic_margin),
+            ("scaled", n_scaled, report.worst_scaled_margin)):
+        print(f"{name + ' drift spot check':29}"
+              f"{'FAIL' if count else 'PASS'} "
+              f"({count}/1000 violations, worst margin {worst:.3g})")
     if n_scaled:
         print("note: the scaled inequality is unsatisfiable when "
               "2n > (1 - gamma)(n + c rho^2 + 1); the quadratic form "
@@ -174,24 +174,23 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     else:
         minor = operational_minorization(cert, radius=args.op_radius)
     beta_op = math.exp(minor.log_beta)
+    if beta_op == 0.0:
+        raise ConfigError(f"the {args.beta_mode} minorization constant "
+                          f"exp({minor.log_beta:.6g}) underflows to 0")
     rng = np.random.default_rng(
         np.random.SeedSequence(_seed(args), spawn_key=(_ESTIMATE_TAG,)))
-    if args.x0 is not None:
-        x0 = _parse_x0(args.x0, cfg.model.n)
-        log = simulate_regenerative(cl, cfg.model, minor, beta_op,
-                                    args.n_steps, rng, x0_mode="given",
-                                    x0=x0)
-    else:
-        log = simulate_regenerative(cl, cfg.model, minor, beta_op,
-                                    args.n_steps, rng)
+    given = args.x0 is not None
+    log = simulate_regenerative(
+        cl, cfg.model, minor, beta_op, args.n_steps, rng,
+        x0_mode="given" if given else "nu_hat",
+        x0=_parse_x0(args.x0, cfg.model.n) if given else None)
     output = estimate_all(log, cfg.reward)
 
     out = _out_dir(args)
     blocks_path = out / "blocks.csv"
     lines = ["m,tau_m,T_m,block_reward_sum"]
     if log.blocks:
-        rewards = rewards_of(log.states, cfg.reward)
-        sums = np.add.reduceat(rewards[:log.taus[-1]], log.taus[:-1])
+        sums = _block_sums(log, rewards_of(log.states, cfg.reward))
         for m, (lo, hi) in enumerate(log.blocks, start=1):
             lines.append(f"{m},{lo},{hi - lo},{fmt(sums[m - 1])}")
     blocks_path.write_text("\n".join(lines) + "\n")
@@ -261,24 +260,18 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
     out = _out_dir(args)
     path = out / "bound.csv"
-    header = ["eps", "delta", "n", "gamma", "c", "rho",
-              "n_required_operational", "raw_certified_log", "n_steps",
-              "term_leading_operational", "log_term_leading_certified",
-              "term_cross", "term_c1_sq", "term_sigma2_c0",
-              "term_sigma2_c0_sq", "total_operational",
-              "pi_vhat_bound", "rbar_vhat_norm_sq_bound",
-              "e_x_vhat_bound"]
-    row = [fmt(args.eps), fmt(args.delta), str(cert.n), fmt(cert.gamma),
-           fmt(cert.c), fmt(cert.rho_ball), str(req.n_operational),
-           fmt(req.raw_certified_log), str(n_steps),
-           fmt(report.term_leading_operational),
-           fmt(report.log_term_leading_certified), fmt(report.term_cross),
-           fmt(report.term_c1_sq), fmt(report.term_sigma2_c0),
-           fmt(report.term_sigma2_c0_sq), fmt(report.total_operational),
-           fmt(report.pi_vhat_bound),
-           fmt(report.rbar_vhat_norm_sq_bound),
-           fmt(report.e_x_vhat_bound)]
-    path.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+    columns = {"eps": args.eps, "delta": args.delta, "n": cert.n,
+               "gamma": cert.gamma, "c": cert.c, "rho": cert.rho_ball,
+               "n_required_operational": req.n_operational,
+               "raw_certified_log": req.raw_certified_log,
+               "n_steps": n_steps}
+    columns.update((name, getattr(report, name)) for name in (
+        "term_leading_operational", "log_term_leading_certified",
+        "term_cross", "term_c1_sq", "term_sigma2_c0", "term_sigma2_c0_sq",
+        "total_operational", "pi_vhat_bound", "rbar_vhat_norm_sq_bound",
+        "e_x_vhat_bound"))
+    header, row = ",".join(columns), ",".join(map(fmt, columns.values()))
+    path.write_text(header + "\n" + row + "\n")
     print(f"wrote {path}")
     return 0
 
@@ -288,13 +281,7 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     CLI flags."""
     fields: dict = {}
     if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        data = read_json(args.config)
         if not isinstance(data, dict):
             raise ConfigError("sweep config must be a JSON object")
         fields = data.get("sweep", data)
@@ -307,16 +294,10 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     merged.update(fields)
     cfg = sweep_config_from_dict(merged)
 
-    overrides: dict = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.eps_stop is not None:
-        overrides["eps_stop"] = args.eps_stop
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    flags = (("trials", args.trials), ("eps_stop", args.eps_stop),
+             ("master_seed", args.seed))
+    return dataclasses.replace(cfg, **{k: v for k, v in flags
+                                       if v is not None})
 
 
 def _print_sweep(result) -> None:
@@ -352,11 +333,41 @@ def _cmd_sweep(args: argparse.Namespace, kind: str) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, with exit code 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _ranged(kind, ok, rule: str):
+    """An argparse type: ``kind(text)``, which must satisfy ``ok``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text}")
+        return value
+    return parse
+
+
+_SEED = _ranged(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2^64)")
+_STEPS = _ranged(int, lambda v: v >= 1, "an integer >= 1")
+_HORIZON = _ranged(int, lambda v: v >= 2, "an integer >= 2")
+_POSITIVE = _ranged(float, lambda v: 0 < v < math.inf,
+                    "a positive finite number")
+_NONNEGATIVE = _ranged(float, lambda v: 0 <= v < math.inf,
+                       "a nonnegative finite number")
+_PROBABILITY = _ranged(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="JSON config file")
-    common.add_argument("--seed", type=int, default=None, metavar="U64",
+    common.add_argument("--seed", type=_SEED, default=None, metavar="U64",
                         help="master seed (default 0)")
     common.add_argument("--out", metavar="DIR",
                         help="output directory "
@@ -364,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--full-scale", action="store_true",
                         help="use the multi-day grid and budgets")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sldsim",
         description="Switched-linear simulation, ergodicity "
                     "certification, and regenerative estimation")
@@ -372,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common],
                        help="roll out one trajectory to CSV")
-    p.add_argument("--n-steps", type=int, default=1000)
+    p.add_argument("--n-steps", type=_STEPS, default=1000)
     p.add_argument("--x0", help="comma-separated start state")
     p.add_argument("--zero-noise", action="store_true")
 
@@ -381,20 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", parents=[common],
                        help="regenerative steady-state reward estimate")
-    p.add_argument("--n-steps", type=int, default=20000,
+    p.add_argument("--n-steps", type=_HORIZON, default=20000,
                    help="nominal horizon N")
     p.add_argument("--beta-mode", choices=("operational", "certified"),
                    default="operational")
-    p.add_argument("--op-radius", type=float, default=None,
+    p.add_argument("--op-radius", type=_POSITIVE, default=None,
                    help="override the operational small-set radius")
     p.add_argument("--x0", help="start state (default: minorization draw)")
 
     p = sub.add_parser("bound", parents=[common],
                        help="evaluate the finite-sample error bound")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.2)
-    p.add_argument("--x0-norm-sq", type=float, default=0.0)
-    p.add_argument("--n-steps", type=int, default=None,
+    p.add_argument("--eps", type=_POSITIVE, default=0.5)
+    p.add_argument("--delta", type=_PROBABILITY, default=0.2)
+    p.add_argument("--x0-norm-sq", type=_NONNEGATIVE, default=0.0)
+    p.add_argument("--n-steps", type=_STEPS, default=None,
                    help="N at which to evaluate the terms "
                         "(default: the required sample count)")
     p.add_argument("--constants", metavar="PATH",
@@ -405,43 +416,28 @@ def build_parser() -> argparse.ArgumentParser:
                            ("sweep-gamma",
                             "pseudo sample count across gains")):
         p = sub.add_parser(name, parents=[common], help=helptext)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--eps-stop", type=float, default=None)
+        p.add_argument("--trials", type=_STEPS, default=None)
+        p.add_argument("--eps-stop", type=_POSITIVE, default=None)
 
     return parser
 
 
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "certify": _cmd_certify,
+    "estimate": _cmd_estimate,
+    "bound": _cmd_bound,
+    "sweep-dim": lambda args: _cmd_sweep(args, "dimension"),
+    "sweep-gamma": lambda args: _cmd_sweep(args, "gamma"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "sweep-dim":
-            return _cmd_sweep(args, "dimension")
-        if args.command == "sweep-gamma":
-            return _cmd_sweep(args, "gamma")
-        parser.error(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotCertifiable as exc:
-        print(f"error: certification failed: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: cannot read or write files: {exc}",
-              file=sys.stderr)
-        return 4
-    except SldsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        return _COMMANDS[args.command](args)
+    except (SldsimError, OSError) as exc:
+        return report_error(exc)
 
 
 if __name__ == "__main__":

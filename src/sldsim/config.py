@@ -106,15 +106,20 @@ def model_config_from_dict(data: dict) -> ModelConfig:
                        rho_ball=rho)
 
 
-def load_model_config(path: str | Path) -> ModelConfig:
+def read_json(path: str | Path):
+    """Parse a JSON config file; a missing or malformed one is a
+    :class:`ConfigError`."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return model_config_from_dict(data)
+
+
+def load_model_config(path: str | Path) -> ModelConfig:
+    return model_config_from_dict(read_json(path))
 
 
 def save_model_config(cfg: ModelConfig, path: str | Path) -> None:

@@ -34,6 +34,11 @@ from .model import ClosedLoop, SldsModel, region_of
 
 GAMMA_FLOOR = 1e-6
 
+# Rounding allowance of the drift spot checks, 16 ulps of the bound: the
+# two sides of an inequality that holds with equality (an isometry scaled
+# to the worst gain) differ by a few ulps in floating point.
+_DRIFT_SLACK = 16 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class RegionClassification:
@@ -288,7 +293,9 @@ def drift_check(cl: ClosedLoop, model: SldsModel, cert: Certificate,
     the certificate's default ``lam`` only when ``2n <= (1 - gamma)
     (n + c rho^2 + 1)``, so high-dimensional models with small offsets can
     violate it even though the quadratic drift is satisfied. Violations are
-    collected and reported either way.
+    collected and reported either way.  A violation must exceed the bound
+    by ``_DRIFT_SLACK`` (16 ulps) of it, so rounding at equality is none;
+    worst margins are reported unadjusted.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n = cert.n
@@ -303,7 +310,7 @@ def drift_check(cl: ClosedLoop, model: SldsModel, cert: Certificate,
         pv = mean_sq + n
         bound = cert.gamma * v + cert.k
         worst_q = max(worst_q, pv - bound)
-        if pv > bound:
+        if pv - bound > _DRIFT_SLACK * abs(bound):
             quad_viol.append(DriftSample(x=x, attained=pv, bound=bound,
                                          which="quadratic drift"))
         vh = 1.0 + (1.0 - cert.gamma) * v / (2.0 * n)
@@ -311,7 +318,7 @@ def drift_check(cl: ClosedLoop, model: SldsModel, cert: Certificate,
         in_s = math.sqrt(v) <= cert.s_radius
         bound_h = cert.lam * vh + (cert.k2 if in_s else 0.0)
         worst_s = max(worst_s, pvh - bound_h)
-        if pvh > bound_h:
+        if pvh - bound_h > _DRIFT_SLACK * abs(bound_h):
             scaled_viol.append(DriftSample(x=x, attained=pvh, bound=bound_h,
                                            which="scaled drift"))
     report = DriftReport(
@@ -338,22 +345,20 @@ def gaussian_overlap(mu1: np.ndarray, mu2: np.ndarray) -> float:
     and the total-variation distance between the kernels is
     ``2 (1 - alpha)``.
     """
-    mu1 = np.asarray(mu1, dtype=float)
-    mu2 = np.asarray(mu2, dtype=float)
-    if mu1.shape != mu2.shape:
-        raise ValueError(f"mean shapes differ: {mu1.shape} vs {mu2.shape}")
-    d = float(np.linalg.norm(mu1 - mu2))
-    return 2.0 * float(stats.norm.cdf(-d / 2.0))
+    return 2.0 * float(stats.norm.cdf(-_distance(mu1, mu2) / 2.0))
 
 
 def log_gaussian_overlap(mu1: np.ndarray, mu2: np.ndarray) -> float:
     """Log of :func:`gaussian_overlap`; finite for any finite separation."""
+    return math.log(2.0) + float(stats.norm.logcdf(-_distance(mu1, mu2) / 2.0))
+
+
+def _distance(mu1, mu2) -> float:
     mu1 = np.asarray(mu1, dtype=float)
     mu2 = np.asarray(mu2, dtype=float)
     if mu1.shape != mu2.shape:
         raise ValueError(f"mean shapes differ: {mu1.shape} vs {mu2.shape}")
-    d = float(np.linalg.norm(mu1 - mu2))
-    return math.log(2.0) + float(stats.norm.logcdf(-d / 2.0))
+    return float(np.linalg.norm(mu1 - mu2))
 
 
 def sample_in_ball(dim: int, radius: float,
@@ -385,10 +390,8 @@ def overlap_positivity_check(cl: ClosedLoop, model: SldsModel,
         x, y = joint[:n], joint[n:]
         mx = cl.ahat[region_of(model, x)] @ x
         my = cl.ahat[region_of(model, y)] @ y
-        d = float(np.linalg.norm(mx - my))
-        max_dist = max(max_dist, d)
-        min_log = min(min_log, math.log(2.0)
-                      + float(stats.norm.logcdf(-d / 2.0)))
+        max_dist = max(max_dist, _distance(mx, my))
+        min_log = min(min_log, log_gaussian_overlap(mx, my))
     return OverlapReport(n_pairs=n_pairs, min_log_alpha=min_log,
                          max_mean_distance=max_dist)
 

@@ -7,6 +7,8 @@ values as attributes where that helps diagnosis.
 
 from __future__ import annotations
 
+import sys
+
 
 class SldsimError(Exception):
     """Base class for all sldsim errors."""
@@ -104,3 +106,18 @@ class MaxStepsExceeded(SldsimError):
 
 class ConfigError(SldsimError):
     """A configuration file is missing, unreadable, or malformed."""
+
+
+# (failure, exit code, message prefix); the first match wins.
+_EXIT_CODES = ((ConfigError, 2, ""),
+               (NotCertifiable, 3, "certification failed: "),
+               (OSError, 4, "cannot read or write files: "),
+               (SldsimError, 1, ""))
+
+
+def report_error(exc: SldsimError | OSError) -> int:
+    """Print ``exc`` as one line on stderr; return its exit code."""
+    code, prefix = next((code, prefix) for kind, code, prefix in _EXIT_CODES
+                        if isinstance(exc, kind))
+    print(f"error: {prefix}{exc}", file=sys.stderr)
+    return code

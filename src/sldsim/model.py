@@ -7,11 +7,16 @@ dynamics. Under a feedback law ``u = pi x`` the closed loop evolves as
 
 where ``j`` is the index of the region containing ``x_t``. The per-state
 reward is ``r(x) = sqrt(x' (Q + pi' R pi) x)``.
+
+Each model compiles its regions once into a :class:`RegionTable`.  Chains
+advance one at a time (:func:`simulate`) or many in lockstep, keeping only
+reward totals (:func:`lockstep`).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +24,14 @@ import numpy as np
 from .errors import DivergenceError, NoRegion
 
 DIVERGENCE_LIMIT = 1e150
+
+# Noise rows :func:`simulate` draws at a time.
+_NOISE_CHUNK = 4096
+# Chains advanced together by :func:`lockstep`; bounds its noise buffer
+# (``_GROUP * _NOISE_BLOCK * n`` doubles) at any chain count.
+_GROUP = 128
+# Noise rows each chain draws per refill of that buffer.
+_NOISE_BLOCK = 16
 
 _PSD_TOL = 1e-10
 
@@ -66,6 +79,9 @@ class Region:
             C = np.asarray(self.C, dtype=float)
             if L.ndim != 2 or C.shape != (L.shape[0],):
                 raise ValueError("L must be (q, n) and C must be (q,)")
+            if L.shape[0] == 0:
+                raise ValueError("a polyhedral region needs an inequality; "
+                                 "radial_shell(0.0) is the whole space")
             object.__setattr__(self, "L", L)
             object.__setattr__(self, "C", C)
             if self.declared_unbounded is None:
@@ -95,6 +111,83 @@ def polyhedron(L, C, declared_unbounded: bool) -> Region:
                   declared_unbounded=declared_unbounded)
 
 
+# The stacked row products below run one BLAS dot or gemv per row, the
+# same call a single vector makes, so each row's value equals the per-
+# vector ``np.linalg.norm(x)``, ``A @ x`` or ``x @ P @ x`` bit for bit,
+# whatever the other rows are.  ``X @ A.T`` and ``np.linalg.norm(X,
+# axis=1)`` do not: their blocking can move the last bit.
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def _row_products(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``a @ x_k`` for every row ``x_k``."""
+    return np.matmul(x[:, None, :], a.T)[:, 0]
+
+
+class RegionTable:
+    """The regions compiled for lookup by the rule of
+    :meth:`Region.contains`; the first declared region wins.
+
+    Shell radii cut the radius axis into pieces ``r == 0``, ``(breaks[k-1],
+    breaks[k]]`` up to ``inf``, and NaN; ``owners[k]`` is the first shell
+    holding piece ``k``, or ``none`` (the region count).  Polyhedra are
+    stacked into ``L`` and ``C``, rows ``starts[i]`` on for region
+    ``poly_ids[i]``.  A state's region is the lower of its shell owner and
+    its first polyhedral match.  A stacked product can differ from one
+    region's in the last bit, so within an ulp of a slanted face a state
+    may resolve otherwise than ``Region.contains``; :meth:`find` and
+    :meth:`find_rows` always agree.
+    """
+
+    def __init__(self, regions: tuple[Region, ...]) -> None:
+        self.none = none = len(regions)
+        shells = [(j, r) for j, r in enumerate(regions) if r.kind == "radial"]
+        polys = [(j, r) for j, r in enumerate(regions) if r.kind != "radial"]
+        cuts = sorted({0.0, math.inf}.union(
+            *((r.r_lo, r.r_hi) for _, r in shells)))
+        self.breaks = tuple(cuts) if shells else ()
+        self.owners = (next((j for j, r in shells if r.r_lo == 0.0), none),
+                       *(next((j for j, r in shells
+                               if r.r_lo <= lo and hi <= r.r_hi), none)
+                         for lo, hi in zip(cuts, cuts[1:])), none)
+        self._breaks, self._owners = map(np.array, (self.breaks, self.owners))
+        self.poly_ids = tuple(j for j, _ in polys)
+        self.L = np.vstack([r.L for _, r in polys]) if polys else None
+        self.C = np.concatenate([r.C for _, r in polys]) if polys else None
+        self.starts = np.cumsum([0] + [len(r.C) for _, r in polys[:-1]])
+
+    def find(self, x: np.ndarray) -> int:
+        """The region of the state ``x``, or ``none``."""
+        j = self.none
+        if self.breaks:
+            r = math.sqrt(x.dot(x))     # np.linalg.norm(x), bit for bit
+            k = bisect_left(self.breaks, r)
+            if k or r == 0.0:           # bisect puts NaN at 0
+                j = self.owners[k]
+        if self.L is not None:
+            hit = np.logical_and.reduceat(self.L @ x <= self.C, self.starts)
+            if hit.any():
+                j = min(j, self.poly_ids[hit.argmax()])
+        return j
+
+    def find_rows(self, x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """:meth:`find` for every row of ``x``, given the rows' norms;
+        raises :class:`NoRegion` if some row has no region."""
+        j = (self._owners[np.searchsorted(self._breaks, norms)]
+             if self.breaks else np.full(len(x), self.none))
+        if self.L is not None:
+            hit = np.logical_and.reduceat(_row_products(x, self.L) <= self.C,
+                                          self.starts, axis=1)
+            j = np.minimum(j, np.where(hit, self.poly_ids, self.none)
+                           .min(axis=1))
+        missing = j == self.none
+        if missing.any():
+            raise NoRegion(x[np.argmax(missing)])
+        return j
+
+
 @dataclass(frozen=True)
 class SldsModel:
     """A switched linear model: ordered regions with per-region (A_j, B_j).
@@ -114,12 +207,16 @@ class SldsModel:
     p: int
     regions: tuple[Region, ...]
     dynamics: tuple[tuple[np.ndarray, np.ndarray], ...]
+    table: RegionTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be positive")
         if len(self.regions) != len(self.dynamics) or not self.regions:
             raise ValueError("need len(regions) == len(dynamics) >= 1")
+        if any(r.kind == "polyhedral" and r.L.shape[1] != self.n
+               for r in self.regions):
+            raise ValueError(f"polyhedral L must have {self.n} columns")
         checked = tuple(
             (_as_matrix(A, self.n, self.n, f"A[{j}]"),
              _as_matrix(B, self.n, self.p, f"B[{j}]"))
@@ -127,10 +224,7 @@ class SldsModel:
         )
         object.__setattr__(self, "dynamics", checked)
         object.__setattr__(self, "regions", tuple(self.regions))
-
-    @property
-    def num_regions(self) -> int:
-        return len(self.regions)
+        object.__setattr__(self, "table", RegionTable(self.regions))
 
 
 @dataclass(frozen=True)
@@ -228,10 +322,10 @@ def region_of(model: SldsModel, x: np.ndarray) -> int:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n,):
         raise ValueError(f"state must have shape ({model.n},), got {x.shape}")
-    for j, region in enumerate(model.regions):
-        if region.contains(x):
-            return j
-    raise NoRegion(x)
+    j = model.table.find(x)
+    if j == model.table.none:
+        raise NoRegion(x)
+    return j
 
 
 def closed_loop(model: SldsModel, policy: Policy) -> ClosedLoop:
@@ -268,17 +362,14 @@ def step(cl: ClosedLoop, model: SldsModel, x: np.ndarray,
     ``zero_noise=True`` suppresses the noise draw entirely (debug aid for
     deterministic checks); it is never a default.
     """
-    j = region_of(model, x)
-    mean = cl.ahat[j] @ x
-    if zero_noise:
-        return mean
-    return mean + rng.standard_normal(model.n)
+    mean = cl.ahat[region_of(model, x)] @ x
+    return mean if zero_noise else mean + rng.standard_normal(model.n)
 
 
 def simulate(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
              x0: np.ndarray, n_steps: int, rng: np.random.Generator,
-             zero_noise: bool = False, seed_label: int | None = None,
-             noise_chunk: int = 4096) -> Trajectory:
+             zero_noise: bool = False,
+             seed_label: int | None = None) -> Trajectory:
     """Simulate ``n_steps`` states x_0..x_{n_steps-1} from ``x0``.
 
     Noise is drawn in row batches from ``rng``; batched draws consume the
@@ -300,23 +391,111 @@ def simulate(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     rewards = np.empty(n_steps, dtype=float)
     states[0] = x
     rewards[0] = reward(x, spec)
-    buf = np.empty((0, model.n))
-    buf_i = 0
     for t in range(1, n_steps):
-        j = region_of(model, x)
-        x = cl.ahat[j] @ x
+        x = cl.ahat[region_of(model, x)] @ x
         if not zero_noise:
-            if buf_i == buf.shape[0]:
-                # Refill with exactly the rows still needed so the stream
-                # consumption matches a per-step loop over step().
-                rows = min(noise_chunk, n_steps - t)
-                buf = rng.standard_normal((rows, model.n))
-                buf_i = 0
-            x = x + buf[buf_i]
-            buf_i += 1
-        nrm = float(np.linalg.norm(x))
-        if not math.isfinite(nrm) or nrm > DIVERGENCE_LIMIT:
+            i = (t - 1) % _NOISE_CHUNK
+            if i == 0:
+                noise = rng.standard_normal(
+                    (min(_NOISE_CHUNK, n_steps - t), model.n))
+            x = x + noise[i]
+        nrm = math.sqrt(x.dot(x))
+        if not nrm <= DIVERGENCE_LIMIT:
             raise DivergenceError(step_index=t, norm=nrm)
         states[t] = x
         rewards[t] = reward(x, spec)
     return Trajectory(states=states, rewards=rewards, seed=seed_label)
+
+
+def _scalar_gains(cl: ClosedLoop) -> np.ndarray | None:
+    """Per-region gains when every closed-loop matrix is exactly ``g I``:
+    scaling a row by ``g`` equals its product with ``g I`` bit for bit."""
+    eye = np.eye(cl.ahat[0].shape[0])
+    gains = np.array([float(a[0, 0]) for a in cl.ahat])
+    if all(np.array_equal(a, g * eye) for a, g in zip(cl.ahat, gains)):
+        return gains
+    return None
+
+
+def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
+             rngs: list[np.random.Generator], n_steps: int,
+             x0: np.ndarray | None = None,
+             eps_stop: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Advance one chain per generator from ``x0`` (default 0) for up to
+    ``n_steps`` steps, in lockstep groups of at most ``_GROUP`` chains.
+
+    Returns each chain's step count ``N`` and reward sum ``S_N`` over
+    ``x_1 .. x_N``.  With ``eps_stop`` a chain stops at the first ``N >=
+    1`` with ``|S_N / N - r(x_{N+1})| / (N + 1) < eps_stop``, else it runs
+    all ``n_steps``.  Chain ``i`` follows the states :func:`simulate`
+    gives on ``rngs[i]``, bit for bit.  Raises :class:`NoRegion`, and
+    :class:`DivergenceError` on a norm that is not ``<= DIVERGENCE_LIMIT``.
+    """
+    if eps_stop is not None and not eps_stop > 0:
+        raise ValueError("eps_stop must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (model.n,):
+        raise ValueError(f"x0 must have shape ({model.n},)")
+    gains = _scalar_gains(cl)
+    groups = [_lockstep(cl, model, spec, rngs[lo:lo + _GROUP], n_steps, x0,
+                        eps_stop, gains)
+              for lo in range(0, len(rngs), _GROUP)]
+    return tuple(np.concatenate(part) for part in zip(*groups))
+
+
+def _lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
+              rngs: list[np.random.Generator], n_steps: int, x0: np.ndarray,
+              eps_stop: float | None,
+              gains: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    k = len(rngs)
+    steps = np.full(k, n_steps)
+    totals = np.empty(k)
+    # Chain i fills noise[i]; x, norms and total hold only the chains in live.
+    noise = np.empty((k, _NOISE_BLOCK, model.n))
+    live = np.arange(k)
+    x = np.tile(x0, (k, 1))
+    norms = _row_norms(x)
+    total = np.zeros(k)
+    for count in range(n_steps):
+        t = count % _NOISE_BLOCK
+        if t == 0:
+            for i in live:
+                rngs[i].standard_normal(out=noise[i])
+        j = model.table.find_rows(x, norms)
+        if gains is not None:
+            x = gains[j][:, None] * x
+        else:
+            stepped = np.empty_like(x)
+            for idx, a in enumerate(cl.ahat):
+                rows = j == idx
+                if rows.any():
+                    stepped[rows] = _row_products(x[rows], a)
+            x = stepped
+        x += noise[live, t]
+        norms = _row_norms(x)
+        bounded = norms <= DIVERGENCE_LIMIT     # False for NaN
+        if not bounded.all():
+            raise DivergenceError(step_index=count + 1,
+                                  norm=float(norms[np.argmin(bounded)]))
+        if spec.p_hat_is_identity:
+            r = norms
+        else:
+            quad = np.matmul(np.matmul(x[:, None, :], spec.p_hat),
+                             x[:, :, None])[:, 0, 0]
+            r = np.sqrt(np.maximum(quad, 0.0))
+        if eps_stop is not None and count >= 1:
+            hit = np.abs(total / count - r) / (count + 1) < eps_stop
+            if hit.any():
+                steps[live[hit]] = count
+                totals[live[hit]] = total[hit]
+                keep = ~hit
+                live, x, norms, total, r = (live[keep], x[keep],
+                                            norms[keep], total[keep],
+                                            r[keep])
+                if not live.size:
+                    break
+        total += r
+    totals[live] = total
+    return steps, totals

@@ -27,7 +27,7 @@ from .errors import (
     NoRegeneration,
     RejectionStall,
 )
-from .ergodicity import Certificate, log_ball_volume
+from .ergodicity import Certificate, log_ball_volume, sample_in_ball
 from .model import ClosedLoop, RewardSpec, SldsModel, region_of
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -83,9 +83,7 @@ class Minorization:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.standard_normal(self.n)
-        z = rng.standard_normal(self.n)
-        z /= np.linalg.norm(z)
-        return self.s_radius * rng.random() ** (1.0 / self.n) * z
+        return sample_in_ball(self.n, self.s_radius, rng)
 
 
 def operational_minorization(cert: Certificate,
@@ -153,11 +151,9 @@ class SplitState:
     theta: int
 
 
-def sample_nu_hat(minor: Minorization | Certificate,
+def sample_nu_hat(minor: Minorization,
                   rng: np.random.Generator) -> np.ndarray:
     """Draw from the regeneration measure (uniform on the ball ``S``)."""
-    if isinstance(minor, Certificate):
-        minor = Minorization.from_certificate(minor)
     return minor.sample(rng)
 
 
@@ -301,25 +297,17 @@ def simulate_regenerative(cl: ClosedLoop, model: SldsModel,
     thetas = np.empty(states.shape[0], dtype=np.uint8)
     t = 0
     while True:
-        if t == states.shape[0]:
-            grow = min(cap, 2 * states.shape[0])
-            new_states = np.empty((grow, model.n), dtype=float)
-            new_states[:t] = states
-            states = new_states
-            new_thetas = np.empty(grow, dtype=np.uint8)
-            new_thetas[:t] = thetas
-            thetas = new_thetas
+        if t == len(states):
+            # Rows past t are filled before they are read.
+            states = np.resize(states, (min(cap, 2 * t), model.n))
+            thetas = np.resize(thetas, len(states))
         states[t] = x
         split, x_next = split_step(x, cl, model, minor, beta_op, rng)
         thetas[t] = split.theta
-        if split.theta == 1 and t + 1 > horizon:
-            t += 1
-            break
-        if t + 1 >= cap:
-            t += 1
+        t += 1
+        if (split.theta == 1 and t > horizon) or t >= cap:
             break
         x = x_next
-        t += 1
     return RegenerationLog.from_raw(states[:t], thetas[:t], horizon)
 
 

@@ -11,10 +11,8 @@ contraction and across contraction at fixed dimension, on a two-shell
 benchmark system that contracts outside a ball of radius ``rho_ball``
 and expands inside it.
 
-Each cell runs its trials in lockstep: one kernel advances a ``(K, n)``
-block of chains, every chain on its own generator, and drops a row when
-its rule fires.  A trial's result is the one a chain run alone on the
-same generator would give, bit for bit.
+Each cell runs its trials together through :func:`sldsim.model.lockstep`;
+a trial's result does not depend on the trials beside it.
 
 Desk-scale defaults finish in seconds on one core; ``full_scale`` is
 the multi-day configuration and exists to be written into manifests, not
@@ -26,8 +24,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,27 +33,21 @@ import numpy as np
 import scipy.stats
 
 from .errors import (ConfigError, DivergenceError, MaxStepsExceeded,
-                     NoRegion, NotCertifiable)
+                     SldsimError, report_error)
 from .ergodicity import certify, classify_regions
 from .model import (
-    DIVERGENCE_LIMIT,
     ClosedLoop,
     Policy,
     RewardSpec,
     SldsModel,
     closed_loop,
+    lockstep,
     radial_shell,
-    region_of,
-    reward,
+    simulate,
 )
 
+# States per exactly combined partial sum of the reference average.
 _NOISE_CHUNK = 4096
-
-# Trials advanced together by the stopping-rule kernel; bounds its noise
-# buffer (``_GROUP * _NOISE_BLOCK * n`` doubles) at any trial count.
-_GROUP = 128
-# Noise rows each trial draws per refill of that buffer.
-_NOISE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -159,31 +151,6 @@ def build_case_study(n: int, gamma_root: float, c_root: float,
     return model, policy, spec
 
 
-def _radial_scalar_gains(cl: ClosedLoop,
-                         model: SldsModel) -> list[tuple[float, float,
-                                                         float]] | None:
-    """Shell bounds and scalar gain per region, when every region is
-    radial and every closed-loop matrix is exactly a multiple of I."""
-    eye = np.eye(model.n)
-    out = []
-    for region, ahat in zip(model.regions, cl.ahat):
-        if region.kind != "radial":
-            return None
-        g = float(ahat[0, 0])
-        if not np.array_equal(ahat, g * eye):
-            return None
-        out.append((region.r_lo, region.r_hi, g))
-    return out
-
-
-def _scalar_gain_of(gains: list[tuple[float, float, float]],
-                    r: float) -> float:
-    for r_lo, r_hi, g in gains:
-        if (r <= r_hi) if r_lo == 0.0 else (r_lo < r <= r_hi):
-            return g
-    raise LookupError(f"no shell covers radius {r!r}")
-
-
 def pseudo_sample_complexity(cl: ClosedLoop, model: SldsModel,
                              spec: RewardSpec, eps_stop: float,
                              rng: np.random.Generator, max_steps: int,
@@ -199,142 +166,14 @@ def pseudo_sample_complexity(cl: ClosedLoop, model: SldsModel,
     probability about ``2 * eps_stop * f * k``, ``f`` the reward density
     at its mean, so ``E N ~ 0.5 * sqrt(pi / (eps_stop * f))``.
 
-    This is the one-chain case of the lockstep kernel that runs sweep
-    cells, so a trial gives the same N here as inside its cell.  Noise is
-    drawn in fixed blocks of rows; batched normal draws are prefix-stable,
-    so the block size changes no N, only where ``rng`` is left afterwards.
+    This is the one-chain case of :func:`~sldsim.model.lockstep`, so a
+    trial gives the same N here as inside its sweep cell.
     """
-    (n_pseudo,) = _stopping_times(cl, model, spec, eps_stop, [rng],
-                                  max_steps, x0)
+    (n_pseudo,), _ = lockstep(cl, model, spec, [rng], max_steps, x0,
+                              eps_stop)
     if n_pseudo == max_steps:
         raise MaxStepsExceeded(cap=max_steps)
     return int(n_pseudo)
-
-
-def _scalar_gains(cl: ClosedLoop) -> np.ndarray | None:
-    """Per-region gains when every closed-loop matrix is exactly ``g I``.
-
-    Scaling a row by ``g`` then equals the row's product with ``g I`` bit
-    for bit, at a fraction of the cost."""
-    eye = np.eye(cl.ahat[0].shape[0])
-    gains = np.array([float(a[0, 0]) for a in cl.ahat])
-    if all(np.array_equal(a, g * eye) for a, g in zip(cl.ahat, gains)):
-        return gains
-    return None
-
-
-# The stacked row products below run one BLAS dot or gemv per row, the
-# same call a single vector makes, so each row's value equals the per-
-# vector ``np.linalg.norm(x)``, ``A @ x`` or ``x @ P @ x`` bit for bit,
-# whatever the other rows are.  ``X @ A.T`` and ``np.linalg.norm(X,
-# axis=1)`` do not: their blocking can move the last bit.
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
-
-
-def _row_products(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``a @ x_k`` for every row ``x_k``."""
-    return np.matmul(x[:, None, :], a.T)[:, 0]
-
-
-def _row_regions(model: SldsModel, x: np.ndarray,
-                 norms: np.ndarray) -> np.ndarray:
-    """:func:`region_of` per row: the first declared region containing
-    it; radial shells are tested on the rows' norms."""
-    j = np.full(len(x), -1)
-    for idx, region in enumerate(model.regions):
-        if region.kind == "radial":
-            inside = norms <= region.r_hi
-            if region.r_lo != 0.0:
-                inside &= norms > region.r_lo
-        else:
-            inside = np.all(_row_products(x, region.L) <= region.C, axis=1)
-        j[(j < 0) & inside] = idx
-    unmatched = j < 0
-    if unmatched.any():
-        raise NoRegion(x[np.argmax(unmatched)])
-    return j
-
-
-def _stopping_times(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
-                    eps_stop: float, rngs: list[np.random.Generator],
-                    max_steps: int,
-                    x0: np.ndarray | None = None) -> np.ndarray:
-    """The stopping rule of :func:`pseudo_sample_complexity` for one chain
-    per generator, run in lockstep groups of at most ``_GROUP`` chains.
-
-    Returns each chain's N, or ``max_steps`` where it was censored (a
-    chain that stops has N < ``max_steps``).  Raises
-    :class:`DivergenceError` or :class:`NoRegion` as soon as any chain
-    meets one.
-    """
-    if eps_stop <= 0:
-        raise ValueError("eps_stop must be positive")
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
-    x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise ValueError(f"x0 must have shape ({model.n},)")
-    gains = _scalar_gains(cl)
-    return np.concatenate([
-        _lockstep(cl, model, spec, eps_stop, rngs[lo:lo + _GROUP],
-                  max_steps, x0, gains)
-        for lo in range(0, len(rngs), _GROUP)])
-
-
-def _lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
-              eps_stop: float, rngs: list[np.random.Generator],
-              max_steps: int, x0: np.ndarray,
-              gains: np.ndarray | None) -> np.ndarray:
-    k = len(rngs)
-    n_pseudo = np.full(k, max_steps)
-    # Chain i fills noise[i] from its own generator; x, norms and total
-    # hold the live chains only, whose indices are in live.
-    noise = np.empty((k, _NOISE_BLOCK, model.n))
-    live = np.arange(k)
-    x = np.tile(x0, (k, 1))
-    norms = _row_norms(x)
-    total = np.zeros(k)
-    for count in range(max_steps):
-        t = count % _NOISE_BLOCK
-        if t == 0:
-            for i in live:
-                rngs[i].standard_normal(out=noise[i])
-        j = _row_regions(model, x, norms)
-        if gains is not None:
-            x = gains[j][:, None] * x
-        else:
-            stepped = np.empty_like(x)
-            for idx, a in enumerate(cl.ahat):
-                rows = j == idx
-                if rows.any():
-                    stepped[rows] = _row_products(x[rows], a)
-            x = stepped
-        x += noise[live, t]
-        norms = _row_norms(x)
-        over = norms > DIVERGENCE_LIMIT
-        if over.any():
-            raise DivergenceError(step_index=count + 1,
-                                  norm=float(norms[np.argmax(over)]))
-        if spec.p_hat_is_identity:
-            r = norms
-        else:
-            quad = np.matmul(np.matmul(x[:, None, :], spec.p_hat),
-                             x[:, :, None])[:, 0, 0]
-            r = np.sqrt(np.maximum(quad, 0.0))
-        if count >= 1:
-            hit = np.abs(total / count - r) / (count + 1) < eps_stop
-            if hit.any():
-                n_pseudo[live[hit]] = count
-                keep = ~hit
-                live, x, norms, total, r = (live[keep], x[keep],
-                                            norms[keep], total[keep],
-                                            r[keep])
-                if not live.size:
-                    break
-        total += r
-    return n_pseudo
 
 
 def reference_reward_average(cl: ClosedLoop, model: SldsModel,
@@ -343,62 +182,46 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
                              x0: np.ndarray | None = None) -> float:
     """Mean reward over the ``n_steps`` states ``x_0 .. x_{n_steps-1}``.
 
-    Streams without storing the trajectory; per-chunk partial sums are
-    combined with exact summation so 1e8-step runs lose no precision.
+    Streams the chain in chunks whose sums are combined exactly, so 1e8
+    steps lose no precision: a scalar loop on the shell pieces of a
+    one-dimensional shell model with norm reward, else :func:`simulate`.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     x = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (model.n,):
         raise ValueError(f"x0 must have shape ({model.n},)")
-
-    gains = _radial_scalar_gains(cl, model)
-    scalar = (model.n == 1 and gains is not None
-              and spec.p_hat_is_identity)
-    partials: list[float] = []
-    chunk_sum = 0.0
-    in_chunk = 0
-
-    def flush() -> None:
-        nonlocal chunk_sum, in_chunk
-        partials.append(chunk_sum)
-        chunk_sum = 0.0
-        in_chunk = 0
-
-    buf = np.empty((0, model.n))
-    buf_i = _NOISE_CHUNK
-    if scalar:
-        xs = float(x[0])
-        chunk_sum = abs(xs)
-        in_chunk = 1
-        for _ in range(n_steps - 1):
-            if buf_i == _NOISE_CHUNK:
-                buf = rng.standard_normal((_NOISE_CHUNK, 1))
-                buf_i = 0
-            g = _scalar_gain_of(gains, abs(xs))
-            xs = g * xs + buf[buf_i, 0]
-            buf_i += 1
-            chunk_sum += abs(xs)
-            in_chunk += 1
-            if in_chunk == _NOISE_CHUNK:
-                flush()
-    else:
-        chunk_sum = reward(x, spec)
-        in_chunk = 1
-        for _ in range(n_steps - 1):
-            if buf_i == _NOISE_CHUNK:
-                buf = rng.standard_normal((_NOISE_CHUNK, model.n))
-                buf_i = 0
-            j = region_of(model, x)
-            x = cl.ahat[j] @ x + buf[buf_i]
-            buf_i += 1
-            chunk_sum += reward(x, spec)
-            in_chunk += 1
-            if in_chunk == _NOISE_CHUNK:
-                flush()
-    if in_chunk:
-        flush()
+    table = model.table
+    if (model.n == 1 and spec.p_hat_is_identity and table.L is None
+            and table.none not in table.owners[:-1]):
+        gains = [float(cl.ahat[j][0, 0]) for j in table.owners[:-1]]
+        return _scalar_reference(gains, table.breaks, float(x[0]), n_steps,
+                                 rng) / n_steps
+    partials = []
+    for lo in range(0, n_steps, _NOISE_CHUNK):
+        # Later chunks restart from the last state, not counted again.
+        rows = min(_NOISE_CHUNK, n_steps - lo) + (lo > 0)
+        traj = simulate(cl, model, spec, x, rows, rng)
+        x = traj.states[-1]
+        partials.append(math.fsum(traj.rewards[lo > 0:]))
     return math.fsum(partials) / n_steps
+
+
+def _scalar_reference(gains: list[float], breaks: tuple[float, ...],
+                      x: float, n_steps: int,
+                      rng: np.random.Generator) -> float:
+    """Sum of |x_t| of a 1-D chain from ``x``, gain ``gains[k]`` on piece k."""
+    partials = []
+    for lo in range(0, n_steps, _NOISE_CHUNK):
+        hi = min(lo + _NOISE_CHUNK, n_steps)
+        total = 0.0 if lo else abs(x)
+        for w in rng.standard_normal(hi - max(lo, 1)).tolist():
+            x = gains[bisect_left(breaks, abs(x))] * x + w
+            total += abs(x)
+        if not math.isfinite(total):
+            raise DivergenceError(step_index=hi - 1, norm=abs(x))
+        partials.append(total)
+    return math.fsum(partials)
 
 
 @dataclass(frozen=True)
@@ -467,9 +290,9 @@ def _run_cell(model: SldsModel, cl: ClosedLoop, spec: RewardSpec,
     seqs = [trial_seed_sequence(cfg.master_seed, tag, n, gamma, trial)
             for trial in range(trials)]
     t0 = time.perf_counter()
-    n_pseudo = _stopping_times(cl, model, spec, cfg.eps_stop,
-                               [np.random.default_rng(ss) for ss in seqs],
-                               cfg.max_steps)
+    n_pseudo, _ = lockstep(cl, model, spec,
+                           [np.random.default_rng(ss) for ss in seqs],
+                           cfg.max_steps, eps_stop=cfg.eps_stop)
     wall = time.perf_counter() - t0
     raws = [RawTrial(n=n, gamma=gamma, trial=trial, n_pseudo=int(count),
                      censored=bool(count == cfg.max_steps),
@@ -619,54 +442,47 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> int:
     Config JSON: ``{"sweep": {...SweepConfig fields...},
     "run": ["dimension", "gamma"]}``; both keys optional.  Outputs carry
     no wall-clock data, so reruns with the same config and environment
-    are byte-identical.  Returns a process exit code: 0 on success, 2 on
-    a config problem, 3 when certification fails, 4 on an I/O failure.
+    are byte-identical.  Returns a process exit code, as the CLI does: 0
+    on success, 1 on a failure inside a computation, 2 on a config
+    problem, 3 when certification fails, 4 on an I/O failure.
     """
+    try:
+        _run_pipeline(Path(config_path), Path(out_dir))
+    except (SldsimError, OSError) as exc:
+        return report_error(exc)
+    return 0
+
+
+def _run_pipeline(config_path: Path, out: Path) -> None:
     from .config import sha256_of_text, write_manifest
 
+    text = config_path.read_text()
     try:
-        config_path = Path(config_path)
-        text = config_path.read_text()
         data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ConfigError("pipeline config must be a JSON object")
-        unknown = set(data) - {"sweep", "run"}
-        if unknown:
-            raise ConfigError(
-                f"unknown pipeline config keys: {sorted(unknown)}")
-        cfg = sweep_config_from_dict(data.get("sweep", {}))
-        run = data.get("run", ["dimension", "gamma"])
-        bad = set(run) - {"dimension", "gamma"}
-        if bad:
-            raise ConfigError(f"unknown sweep kinds: {sorted(bad)}")
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        blocks = []
-        if "dimension" in run:
-            result = sweep_dimension(cfg)
-            write_raw_csv(result, out / "dimension_raw.csv")
-            write_agg_csv(result, out / "dimension_agg.csv")
-            blocks.append(_result_manifest_block(result))
-        if "gamma" in run:
-            result = sweep_gamma(cfg)
-            write_raw_csv(result, out / "gamma_raw.csv")
-            write_agg_csv(result, out / "gamma_agg.csv")
-            blocks.append(_result_manifest_block(result))
-        write_manifest(out / "manifest.json", sha256_of_text(text),
-                       cfg.master_seed, extra={"results": blocks})
     except json.JSONDecodeError as exc:
-        print(f"error: pipeline config is not valid JSON: {exc}",
-              file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotCertifiable as exc:
-        print(f"error: certification failed: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: cannot read or write files: {exc}",
-              file=sys.stderr)
-        return 4
-    return 0
+        raise ConfigError(f"pipeline config is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("pipeline config must be a JSON object")
+    unknown = set(data) - {"sweep", "run"}
+    if unknown:
+        raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
+    cfg = sweep_config_from_dict(data.get("sweep", {}))
+    run = data.get("run", ["dimension", "gamma"])
+    bad = set(run) - {"dimension", "gamma"}
+    if bad:
+        raise ConfigError(f"unknown sweep kinds: {sorted(bad)}")
+
+    out.mkdir(parents=True, exist_ok=True)
+    blocks = []
+    if "dimension" in run:
+        result = sweep_dimension(cfg)
+        write_raw_csv(result, out / "dimension_raw.csv")
+        write_agg_csv(result, out / "dimension_agg.csv")
+        blocks.append(_result_manifest_block(result))
+    if "gamma" in run:
+        result = sweep_gamma(cfg)
+        write_raw_csv(result, out / "gamma_raw.csv")
+        write_agg_csv(result, out / "gamma_agg.csv")
+        blocks.append(_result_manifest_block(result))
+    write_manifest(out / "manifest.json", sha256_of_text(text),
+                   cfg.master_seed, extra={"results": blocks})

@@ -24,6 +24,7 @@ from sldsim import (
     certify,
     classify_regions,
     closed_loop,
+    polyhedron,
     radial_shell,
 )
 
@@ -71,6 +72,64 @@ def zero_system(n: int = 1) -> System:
     cl = closed_loop(model, policy)
     cert = certify(cl, classify_regions(model, 1.0), 1.0, n)
     return System(model, policy, spec, cl, cert)
+
+
+def _scaled(rng, n, norm):
+    m = rng.standard_normal((n, n))
+    return norm * m / np.linalg.norm(m, 2)
+
+
+def dense_shells(n):
+    """Three radial shells with dense dynamics (contracting outside,
+    expanding in the middle), feedback and a non-identity reward; the
+    radii grow with the noise norm, so chains visit every shell."""
+    rng = np.random.default_rng(100 + n)
+    r1, r2 = math.sqrt(n), 2.5 * math.sqrt(n)
+    model = SldsModel(
+        n=n, p=1,
+        regions=(radial_shell(0.0, r1), radial_shell(r1, r2),
+                 radial_shell(r2, math.inf)),
+        dynamics=tuple((_scaled(rng, n, g), rng.standard_normal((n, 1)))
+                       for g in (0.8, 1.3, 0.6)))
+    policy = Policy(pi=0.05 * rng.standard_normal((1, n)))
+    q = rng.standard_normal((n, n))
+    spec = RewardSpec.bind(Q=q @ q.T + np.eye(n), R=np.eye(1),
+                           policy=policy)
+    return model, closed_loop(model, policy), spec
+
+
+def quadrants():
+    """Four polyhedral quadrants in 2-D, each with its own dense gain."""
+    rng = np.random.default_rng(7)
+    signs = ((-1, -1), (1, -1), (1, 1), (-1, 1))
+    model = SldsModel(
+        n=2, p=1,
+        regions=tuple(polyhedron(np.diag(sg), np.zeros(2), True)
+                      for sg in signs),
+        dynamics=tuple((_scaled(rng, 2, g), np.zeros((2, 1)))
+                       for g in (0.5, 0.7, 0.9, 0.6)))
+    policy = Policy(pi=np.zeros((1, 2)))
+    spec = RewardSpec.bind(Q=np.eye(2), R=np.eye(1), policy=policy)
+    return model, closed_loop(model, policy), spec
+
+
+def poly4(worst=None):
+    """The four-quadrant model of the benchmark's estimate workload: the
+    closed quadrants overlap on the axes, so the first declared wins.
+    ``worst`` replaces the dynamics of region 3, the worst gain (0.7)."""
+    signs = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+    a = [np.array([[0.5, 0.1], [0.0, 0.45]]),
+         np.array([[0.55, 0.0], [0.15, 0.5]]),
+         np.array([[0.65, 0.1], [-0.1, 0.6]]),
+         np.diag([0.7, 0.6]) if worst is None else np.asarray(worst)]
+    model = SldsModel(
+        n=2, p=1,
+        regions=tuple(polyhedron(np.diag(-np.array(sg, dtype=float)),
+                                 np.zeros(2), True) for sg in signs),
+        dynamics=tuple((m, np.zeros((2, 1))) for m in a))
+    policy = Policy(pi=np.zeros((1, 2)))
+    spec = RewardSpec.bind(Q=np.eye(2), R=np.eye(1), policy=policy)
+    return model, closed_loop(model, policy), spec
 
 
 def batch_se(values: np.ndarray, n_batches: int = 100) -> float:

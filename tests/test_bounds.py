@@ -10,12 +10,20 @@ import pytest
 from sldsim import (
     BoundConstants,
     Certificate,
+    ClosedLoop,
+    DivergenceError,
     bound_terms,
+    build_case_study,
+    certify,
+    classify_regions,
+    closed_loop,
     required_samples,
+    simulate,
     validate_bound,
 )
+from sldsim.model import lockstep
 
-from conftest import build_system
+from conftest import build_system, dense_shells, quadrants
 
 # Benchmark chain: n = 1, gamma = 0.81, c = 4, rho = 10, and the
 # operational constant for a worst gain of 2.
@@ -169,7 +177,6 @@ class TestBoundTerms:
             1884.5061074395599, rel=1e-12)
         assert rep.total_operational == pytest.approx(
             sum(rep.finite_terms), rel=1e-15)
-        assert rep.n_required is None
 
     def test_start_state_shifts_moment_bound(self):
         sys = build_system(1)
@@ -232,3 +239,85 @@ class TestValidateBound:
         with pytest.raises(ValueError):
             validate_bound(sys.cl, sys.model, sys.spec, sys.cert,
                            eps=1.0, delta=0.2, trials=0, rho_star=0.0)
+
+
+def per_trial_validation(cl, model, spec, n_used, trials, x0,
+                         master_seed=0):
+    """The per-trial loop that ran ``validate_bound``'s trials before the
+    lockstep kernel, kept as its oracle: each trial's reward average over
+    ``x_1 .. x_{n_used}`` of its own :func:`simulate` trajectory."""
+    averages = []
+    for trial in range(trials):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(master_seed, spawn_key=(7, trial)))
+        traj = simulate(cl, model, spec, x0, n_used + 1, rng)
+        averages.append(float(np.mean(traj.rewards[1:])))
+    return np.array(averages)
+
+
+def with_certificate(system, rho):
+    model, cl, spec = system
+    cert = certify(cl, classify_regions(model, rho), rho, model.n)
+    return model, cl, spec, cert
+
+
+class TestValidateBoundOracle:
+    """``validate_bound`` runs its trials in lockstep; the per-trial loop
+    decides the same failures, with averages equal to 1e-12."""
+
+    @pytest.mark.parametrize("name, trials, eps, x0", [
+        ("case1", 140, 0.5, None),          # two lockstep groups
+        ("case3", 30, 2.0, [12.0, 0.0, -3.0]),
+        ("dense2", 30, 0.4, None),          # dense shells, quadratic reward
+        ("quadrants", 30, 1.0, [3.0, -1.0]),
+    ])
+    def test_matches_per_trial_loop(self, name, trials, eps, x0):
+        if name.startswith("case"):
+            s = build_system(int(name[-1]))
+            model, cl, spec, cert = s.model, s.cl, s.spec, s.cert
+        elif name == "dense2":
+            model, cl, spec, cert = with_certificate(dense_shells(2),
+                                                     2.5 * math.sqrt(2))
+        else:
+            model, cl, spec, cert = with_certificate(quadrants(), 1.0)
+        x0 = None if x0 is None else np.array(x0)
+        n_used = validate_bound(cl, model, spec, cert, eps=eps, delta=0.2,
+                                trials=1, rho_star=0.0, beta_op=0.5,
+                                x0=x0).n_used
+        assert 50 < n_used < 2000
+        want = per_trial_validation(cl, model, spec, n_used, trials,
+                                    np.zeros(model.n) if x0 is None else x0)
+        rngs = [np.random.default_rng(np.random.SeedSequence(0,
+                                                             spawn_key=(7, t)))
+                for t in range(trials)]
+        _, totals = lockstep(cl, model, spec, rngs, n_used, x0)
+        np.testing.assert_allclose(totals / n_used, want, rtol=1e-12, atol=0)
+        # rho_star an eps above the median average fails the lower half;
+        # an eps below it, the upper half.
+        for shift in (eps, -eps):
+            rho_star = float(np.median(want)) + shift
+            val = validate_bound(cl, model, spec, cert, eps=eps, delta=0.2,
+                                 trials=trials, rho_star=rho_star,
+                                 beta_op=0.5, x0=x0)
+            assert val.n_used == n_used
+            assert val.failures == int(np.sum(np.abs(want - rho_star) > eps))
+            assert 0 < val.failures < trials
+
+    def test_divergence_raises(self):
+        s = build_system(1)
+        model, policy, spec = build_case_study(1, 3.0, 3.0, 10.0)
+        with pytest.raises(DivergenceError) as info:
+            validate_bound(closed_loop(model, policy), model, spec, s.cert,
+                           eps=0.5, delta=0.2, trials=3, rho_star=0.0)
+        assert info.value.norm > 1e150
+
+    def test_nan_state_raises(self):
+        # A NaN gain makes every norm NaN, which no ``>`` comparison flags.
+        s = build_system(1)
+        cl = ClosedLoop(ahat=(np.full((1, 1), np.nan),) * 2,
+                        ahat_norms=s.cl.ahat_norms)
+        with pytest.raises(DivergenceError) as info:
+            validate_bound(cl, s.model, s.spec, s.cert, eps=0.5, delta=0.2,
+                           trials=3, rho_star=0.0)
+        assert math.isnan(info.value.norm)
+        assert info.value.step_index == 1

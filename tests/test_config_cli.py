@@ -24,6 +24,7 @@ from sldsim import (
 )
 from sldsim.config import fmt, sha256_of_file, sha256_of_text
 from sldsim.cli import main
+from sldsim.errors import DivergenceError, NotCertifiable, report_error
 from sldsim.regen import operational_minorization
 
 from conftest import build_system, CONTRACT_C_ROOT
@@ -347,6 +348,15 @@ class TestCliEstimate:
             -0.5 * math.log(2 * math.pi) - 0.5 * d * d, rel=1e-12)
         assert summary["blocks"] >= 30
 
+    def test_underflowing_beta_exits_2(self, tmp_path, capsys):
+        # The benchmark chain's certified constant is exp(-3624): zero.
+        cfg = make_config(tmp_path)
+        rc = main(["estimate", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--beta-mode", "certified"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "underflows to 0" in err and err.count("\n") == 1
+
     def test_op_radius_override(self, tmp_path):
         cfg = make_config(tmp_path, c_root=CONTRACT_C_ROOT)
         out = tmp_path / "out"
@@ -480,6 +490,40 @@ class TestCliSweeps:
 
 
 class TestCliParser:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n-steps", "0"],
+        ["simulate", "--seed", "-1"],
+        ["estimate", "--n-steps", "1"],
+        ["estimate", "--op-radius", "-1"],
+        ["bound", "--eps", "0"],
+        ["bound", "--n-steps", "-3"],
+        ["bound", "--delta", "1.5"],
+        ["bound", "--x0-norm-sq", "nan"],
+        ["sweep-dim", "--trials", "0"],
+        ["sweep-gamma", "--eps-stop", "-1e-3"],
+        ["simulate", "--n-steps", "many"],
+    ])
+    def test_bad_flag_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        cfg = make_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", cfg, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and argv[1] in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("exc, code", [
+        (ConfigError("bad"), 2),
+        (NotCertifiable(gamma=1.5, region_index=0), 3),
+        (FileNotFoundError("gone"), 4),
+        (DivergenceError(step_index=3, norm=math.inf), 1),
+    ])
+    def test_one_error_mapping(self, exc, code, capsys):
+        assert report_error(exc) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -35,7 +35,7 @@ from sldsim import (
 )
 from sldsim.ergodicity import GAMMA_FLOOR
 
-from conftest import CASE_RHO, build_system, zero_system
+from conftest import CASE_RHO, build_system, poly4, zero_system
 
 
 class TestClassifyRegions:
@@ -234,6 +234,34 @@ class TestDriftCheck:
             drift_check(sys.cl, sys.model, doctored,
                         np.array([[50.0]]))
         assert len(info.value.violations) >= 1
+
+    @staticmethod
+    def rotated_poly4():
+        """The four-quadrant model with its worst-gain region an
+        isometry scaled to that gain, 0.7 R(0.3): the quadratic drift
+        holds there with equality in exact arithmetic."""
+        c, s = math.cos(0.3), math.sin(0.3)
+        model, cl, _ = poly4(worst=0.7 * np.array([[c, -s], [s, c]]))
+        cert = certify(cl, classify_regions(model, 1.0), 1.0, 2)
+        rng = np.random.default_rng(9)
+        xs = np.array([sample_in_ball(2, 2.0 * cert.s_radius, rng)
+                       for _ in range(1000)])
+        return model, cl, cert, xs
+
+    def test_rounding_at_equality_is_no_violation(self):
+        model, cl, cert, xs = self.rotated_poly4()
+        report = drift_check(cl, model, cert, xs, raise_on_violation=False)
+        assert not report.quadratic_violations
+        # Rounding does put the attained side above the bound, by ulps.
+        assert 0.0 < report.worst_quadratic_margin < 1e-13
+
+    def test_relative_violation_of_1e9_is_reported(self):
+        model, cl, cert, xs = self.rotated_poly4()
+        shrunk = dataclasses.replace(cert, gamma=cert.gamma * (1 - 1e-9),
+                                     k=cert.k * (1 - 1e-9))
+        report = drift_check(cl, model, shrunk, xs, raise_on_violation=False)
+        in_worst = sum(region_of(model, x) == 3 for x in xs)
+        assert len(report.quadratic_violations) == in_worst > 0
 
     def test_exactness_against_manual_expectation(self):
         sys = build_system(2)

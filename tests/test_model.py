@@ -24,7 +24,9 @@ from sldsim import (
     step,
 )
 
-from conftest import CASE_RHO, build_system
+from sldsim.model import _row_norms
+
+from conftest import CASE_RHO, build_system, dense_shells, poly4
 
 
 def one_region_system(gain: float, n: int = 1):
@@ -102,6 +104,158 @@ class TestRegionOf:
         xs = rng.standard_normal((10_000, 2)) * (5.0 * CASE_RHO)
         seen = {region_of(sys.model, x) for x in xs}
         assert seen <= {0, 1}
+
+
+def region_of_oracle(model, x):
+    """The loop over ``Region.contains`` that resolved regions before the
+    region table, kept as its oracle; None where no region holds ``x``."""
+    for j, region in enumerate(model.regions):
+        if region.contains(x):
+            return j
+    return None
+
+
+def unit_model(*regions):
+    """Identity dynamics on the given regions, in dimension of the first
+    polyhedron (else 2)."""
+    n = next((r.L.shape[1] for r in regions if r.kind == "polyhedral"), 2)
+    return SldsModel(n=n, p=1, regions=regions,
+                     dynamics=((np.eye(n), np.zeros((n, 1))),) * len(regions))
+
+
+def on_breakpoints(radii, n):
+    """Points at, just inside and just outside each radius along the
+    first axis (where the norm is the radius exactly), and along a
+    second direction."""
+    points = [np.zeros(n)]
+    for r in radii:
+        for s in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)):
+            e = np.zeros(n)
+            e[0] = s
+            points.append(e)
+            if n >= 2:
+                d = np.zeros(n)
+                d[:2] = (0.6 * s, -0.8 * s)
+                points.append(d)
+    return np.array(points)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def assert_lookups_match_oracle(model, xs):
+    """One-vector and row lookups both equal the oracle on every row."""
+    want = [region_of_oracle(model, x) for x in xs]
+    for x, j in zip(xs, want):
+        if j is None:
+            with pytest.raises(NoRegion):
+                region_of(model, x)
+        else:
+            assert region_of(model, x) == j
+    covered = np.array([j is not None for j in want], dtype=bool)
+    rows = xs[covered]
+    if len(rows):
+        assert model.table.find_rows(rows, _row_norms(rows)).tolist() == [
+            j for j in want if j is not None]
+    if not covered.all():
+        with pytest.raises(NoRegion):
+            model.table.find_rows(xs, _row_norms(xs))
+    return want
+
+
+class TestRegionTable:
+    """The region table against the per-region oracle: same region for
+    one state and for stacked rows, boundaries included."""
+
+    def test_case_study_pieces(self):
+        table = build_system(3).model.table
+        assert table.breaks == (0.0, CASE_RHO, math.inf)
+        # r == 0, (0, rho], (rho, inf], NaN
+        assert table.owners == (1, 1, 0, table.none)
+        assert table.L is None
+
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_radial_chain_states(self, n):
+        sys = build_system(n)
+        xs = simulate(sys.cl, sys.model, sys.spec, np.zeros(n), 512,
+                      np.random.default_rng(n)).states
+        edges = on_breakpoints([CASE_RHO], n)
+        assert CASE_RHO in np.linalg.norm(edges, axis=1)
+        want = assert_lookups_match_oracle(sys.model,
+                                           np.vstack([xs, edges]))
+        assert set(want) == {0, 1}
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_dense_shells(self, n):
+        model, cl, spec = dense_shells(n)
+        xs = simulate(cl, model, spec, np.zeros(n), 512,
+                      np.random.default_rng(n)).states
+        radii = [r.r_hi for r in model.regions[:2]]
+        want = assert_lookups_match_oracle(
+            model, np.vstack([xs, on_breakpoints(radii, n)]))
+        assert set(want) == {0, 1, 2}
+
+    def test_poly4_chain_states_and_faces(self):
+        model, cl, spec = poly4()
+        xs = simulate(cl, model, spec, np.zeros(2), 512,
+                      np.random.default_rng(4)).states
+        t = np.array([1e-300, 0.5, 3.0, 1e200])
+        faces = np.vstack([np.zeros((1, 2)), np.c_[t, 0 * t],
+                           np.c_[-t, 0 * t], np.c_[0 * t, t],
+                           np.c_[0 * t, -t], [[-0.0, 1.0], [1.0, -0.0]]])
+        want = assert_lookups_match_oracle(model, np.vstack([xs, faces]))
+        assert set(want) == {0, 1, 2, 3}
+
+    def test_slanted_faces(self):
+        # Small integer rows and points: every product is exact, so
+        # points on a face are on it for both lookups.
+        model = unit_model(polyhedron([[1.0, 2.0], [-3.0, 1.0]], [4.0, 2.0],
+                                      True),
+                           polyhedron([[-1.0, -2.0]], [-4.0], True),
+                           polyhedron([[3.0, -1.0]], [-2.0], True))
+        grid = np.array([(a, b) for a in np.arange(-6.0, 6.5, 0.5)
+                         for b in np.arange(-6.0, 6.5, 0.5)])
+        want = assert_lookups_match_oracle(model, grid)
+        assert set(want) == {0, 1, 2}
+
+    def test_overlapping_shells(self):
+        model = unit_model(radial_shell(0.0, 5.0), radial_shell(2.0, 8.0),
+                           radial_shell(7.0, 9.0), radial_shell(0.0),
+                           radial_shell(1.0, 3.0))
+        xs = on_breakpoints([1.0, 2.0, 3.0, 5.0, 7.0, 8.0, 9.0], 2)
+        want = assert_lookups_match_oracle(model, xs)
+        assert set(want) == {0, 1, 2, 3}
+
+    def test_mixed_radial_and_polyhedral(self):
+        model = unit_model(polyhedron([[1.0, 0.0]], [1.0], True),
+                           radial_shell(0.0, 3.0),
+                           radial_shell(2.0),
+                           polyhedron([[0.0, 1.0]], [0.0], True))
+        rng = np.random.default_rng(0)
+        xs = np.vstack([3 * rng.standard_normal((500, 2)),
+                        on_breakpoints([1.0, 2.0, 3.0], 2),
+                        [[1.0, 5.0], [1.0, -5.0], [np.inf, 0.0]]])
+        want = assert_lookups_match_oracle(model, xs)
+        assert set(want) == {0, 1, 2}
+
+    def test_uncovered_points(self):
+        model = unit_model(radial_shell(1.0, 2.0),
+                           polyhedron([[1.0, 0.0]], [-5.0], True))
+        xs = np.vstack([on_breakpoints([1.0, 2.0], 2),
+                        [[-6.0, 0.0], [3.0, 0.0], [np.nan, 0.0]]])
+        want = assert_lookups_match_oracle(model, xs)
+        assert None in want and set(want) - {None} == {0, 1}
+
+    def test_nan_state_has_no_region(self):
+        # A NaN norm lies on no shell, not even one closed at the origin.
+        model = build_system(2).model
+        want = assert_lookups_match_oracle(model, np.array([[np.nan, 0.0]]))
+        assert want == [None]
+
+    def test_partition_checks(self):
+        with pytest.raises(ValueError, match="columns"):
+            unit_model(polyhedron([[1.0, 0.0]], [0.0], True),
+                       polyhedron([[1.0, 0.0, 0.0]], [0.0], True))
+        with pytest.raises(ValueError, match="inequality"):
+            polyhedron(np.zeros((0, 2)), np.zeros(0), True)
 
 
 class TestClosedLoop:
@@ -221,19 +375,16 @@ class TestSimulate:
         assert np.array_equal(a.rewards, b.rewards)
 
     def test_chunked_noise_matches_stepwise(self):
+        # 5000 states cross a refill of the 4096-row noise buffer.
         sys = build_system(2)
         x0 = np.array([1.0, -2.0])
-        big = simulate(sys.cl, sys.model, sys.spec, x0, 700,
-                       np.random.default_rng(5), noise_chunk=4096)
-        small = simulate(sys.cl, sys.model, sys.spec, x0, 700,
-                         np.random.default_rng(5), noise_chunk=1)
-        assert np.array_equal(big.states, small.states)
-
+        traj = simulate(sys.cl, sys.model, sys.spec, x0, 5000,
+                        np.random.default_rng(5))
         rng = np.random.default_rng(5)
         x = x0
-        for t in range(1, 700):
+        for t in range(1, 5000):
             x = step(sys.cl, sys.model, x, rng)
-            assert np.array_equal(big.states[t], x)
+            assert np.array_equal(traj.states[t], x)
 
     def test_zero_noise_trajectory(self):
         model, cl, spec = one_region_system(0.9)

@@ -130,9 +130,10 @@ class TestPointwiseCheck:
 
 class TestSampleNuHat:
     def test_accepts_certificate_or_minorization(self):
+        # The certified pair and the operational pair.
         sys = build_system(1)
         rng = np.random.default_rng(2)
-        x = sample_nu_hat(sys.cert, rng)
+        x = sample_nu_hat(Minorization.from_certificate(sys.cert), rng)
         assert abs(x[0]) <= sys.cert.s_radius
         op = operational_minorization(sys.cert)
         y = sample_nu_hat(op, rng)

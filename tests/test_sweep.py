@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sldsim import (
+    ClosedLoop,
     ConfigError,
     DivergenceError,
     MaxStepsExceeded,
@@ -31,14 +34,29 @@ from sldsim import (
     sweep_gamma,
     trial_seed_sequence,
 )
+import sldsim.model as model_mod
 import sldsim.sweep as sweep_mod
-from sldsim.model import DIVERGENCE_LIMIT
+from sldsim.model import DIVERGENCE_LIMIT, lockstep
 from sldsim.sweep import (
     _fit_upper_half,
     sweep_config_from_dict,
     write_agg_csv,
     write_raw_csv,
 )
+
+from conftest import dense_shells, quadrants
+
+
+GOLDEN_SHA256 = {
+    "dimension_agg.csv":
+        "ab5c4a6b9c3be20d61e04f96a3be6b87c1954fdd3bd0d916c49c3d928e5ff72f",
+    "dimension_raw.csv":
+        "e7d6e753dcb3a6ac1afb3c4c7e3e703da5d32934657e369913a2030a173eceba",
+    "gamma_agg.csv":
+        "8069308bf5753b031bec826b8e76b16b7a0147ce32121449d6ba066ea1076a8c",
+    "gamma_raw.csv":
+        "c8ebf2ce589b870c89b6a3c8c423eda3b329bd05fb8e3c44e6fe1550d9c42da1",
+}
 
 
 def bench(n=1, gamma_root=0.9, c_root=2.0, rho=10.0):
@@ -154,7 +172,7 @@ class TestPseudoSampleComplexity:
         # The case study's matrices are g * I: the kernel scales rows by
         # g unless its detection is disabled, forcing the dense products.
         systems = [bench(n) for n in (1, 10)]
-        assert all(sweep_mod._scalar_gains(cl) is not None
+        assert all(model_mod._scalar_gains(cl) is not None
                    for _, cl, _ in systems)
 
         def stopping_times():
@@ -162,7 +180,7 @@ class TestPseudoSampleComplexity:
                                              np.random.default_rng(4), 10**6)
                     for model, cl, spec in systems]
         fast = stopping_times()
-        monkeypatch.setattr(sweep_mod, "_scalar_gains", lambda cl: None)
+        monkeypatch.setattr(model_mod, "_scalar_gains", lambda cl: None)
         assert stopping_times() == fast
 
     def test_start_state_matters(self):
@@ -317,45 +335,6 @@ def per_trial_stopping_time(cl, model, spec, eps_stop, rng, max_steps,
     return max_steps, True
 
 
-def _scaled(rng, n, norm):
-    m = rng.standard_normal((n, n))
-    return norm * m / np.linalg.norm(m, 2)
-
-
-def dense_shells(n):
-    """Three radial shells with dense dynamics (contracting outside,
-    expanding in the middle), feedback and a non-identity reward; the
-    radii grow with the noise norm, so chains visit every shell."""
-    rng = np.random.default_rng(100 + n)
-    r1, r2 = math.sqrt(n), 2.5 * math.sqrt(n)
-    model = SldsModel(
-        n=n, p=1,
-        regions=(radial_shell(0.0, r1), radial_shell(r1, r2),
-                 radial_shell(r2, math.inf)),
-        dynamics=tuple((_scaled(rng, n, g), rng.standard_normal((n, 1)))
-                       for g in (0.8, 1.3, 0.6)))
-    policy = Policy(pi=0.05 * rng.standard_normal((1, n)))
-    q = rng.standard_normal((n, n))
-    spec = RewardSpec.bind(Q=q @ q.T + np.eye(n), R=np.eye(1),
-                           policy=policy)
-    return model, closed_loop(model, policy), spec
-
-
-def quadrants():
-    """Four polyhedral quadrants in 2-D, each with its own dense gain."""
-    rng = np.random.default_rng(7)
-    signs = ((-1, -1), (1, -1), (1, 1), (-1, 1))
-    model = SldsModel(
-        n=2, p=1,
-        regions=tuple(polyhedron(np.diag(sg), np.zeros(2), True)
-                      for sg in signs),
-        dynamics=tuple((_scaled(rng, 2, g), np.zeros((2, 1)))
-                       for g in (0.5, 0.7, 0.9, 0.6)))
-    policy = Policy(pi=np.zeros((1, 2)))
-    spec = RewardSpec.bind(Q=np.eye(2), R=np.eye(1), policy=policy)
-    return model, closed_loop(model, policy), spec
-
-
 class TestLockstepKernel:
     """The sweeps' lockstep kernel against the per-trial oracle: equal
     ``(N, censored)`` for every trial, whatever runs beside it."""
@@ -364,10 +343,15 @@ class TestLockstepKernel:
     def rngs(k, seed=0):
         return [np.random.default_rng([seed, t]) for t in range(k)]
 
+    @staticmethod
+    def stopping_times(system, eps_stop, rngs, max_steps, x0=None):
+        model, cl, spec = system
+        return lockstep(cl, model, spec, rngs, max_steps, x0, eps_stop)[0]
+
     def check(self, system, eps_stop, max_steps, k, x0=None):
         model, cl, spec = system
-        got = sweep_mod._stopping_times(cl, model, spec, eps_stop,
-                                        self.rngs(k), max_steps, x0)
+        got = self.stopping_times(system, eps_stop, self.rngs(k), max_steps,
+                                  x0)
         want = [per_trial_stopping_time(cl, model, spec, eps_stop, rng,
                                         max_steps, x0)
                 for rng in self.rngs(k)]
@@ -378,7 +362,7 @@ class TestLockstepKernel:
     def test_dense_shells(self, n):
         system = dense_shells(n)
         # Dense for n > 1; at n = 1 every matrix is some g * I.
-        assert (sweep_mod._scalar_gains(system[1]) is None) == (n > 1)
+        assert (model_mod._scalar_gains(system[1]) is None) == (n > 1)
         assert not system[2].p_hat_is_identity
         want = self.check(system, 3e-3, 10**5, 300)
         assert not any(c for _, c in want)
@@ -403,15 +387,16 @@ class TestLockstepKernel:
         assert 0 < censored < len(want)
 
     def test_batch_does_not_change_a_trial(self):
-        model, cl, spec = bench(2)
-        k = sweep_mod._GROUP + 20   # two lockstep groups
+        system = model, cl, spec = bench(2)
+        group = model_mod._GROUP
+        k = group + 20   # two lockstep groups
 
         def run(count):
-            return sweep_mod._stopping_times(cl, model, spec, 1e-2,
-                                             self.rngs(count), 10**5)
+            return self.stopping_times(system, 1e-2, self.rngs(count),
+                                       10**5)
         whole = run(k).tolist()
         assert run(5).tolist() == whole[:5]
-        assert run(sweep_mod._GROUP + 1).tolist() == whole[:sweep_mod._GROUP + 1]
+        assert run(group + 1).tolist() == whole[:group + 1]
         alone = [pseudo_sample_complexity(cl, model, spec, 1e-2, rng, 10**5)
                  for rng in self.rngs(k)]
         assert alone == whole
@@ -424,9 +409,9 @@ class TestLockstepKernel:
         a = rng.standard_normal((n, n))
         for k in (1, 7, 100):
             x = (5 * rng.standard_normal((k + 3, n)))[rng.permutation(k)]
-            assert np.array_equal(sweep_mod._row_products(x, a),
+            assert np.array_equal(model_mod._row_products(x, a),
                                   np.array([a @ v for v in x]))
-            assert np.array_equal(sweep_mod._row_norms(x),
+            assert np.array_equal(model_mod._row_norms(x),
                                   np.array([np.linalg.norm(v) for v in x]))
 
     def test_row_regions_first_declared_wins(self):
@@ -439,7 +424,7 @@ class TestLockstepKernel:
                      polyhedron([[0.0, 0.0]], [0.0], True)),
             dynamics=((np.eye(2), np.zeros((2, 1))),) * 4)
         x = 3 * np.random.default_rng(0).standard_normal((500, 2))
-        got = sweep_mod._row_regions(model, x, sweep_mod._row_norms(x))
+        got = model.table.find_rows(x, model_mod._row_norms(x))
         assert got.tolist() == [region_of(model, v) for v in x]
         assert set(got.tolist()) == {0, 1, 2}
 
@@ -450,14 +435,93 @@ class TestLockstepKernel:
         spec = RewardSpec.bind(Q=np.eye(2), R=np.eye(1),
                                policy=Policy(pi=np.zeros((1, 2))))
         with pytest.raises(NoRegion):
-            sweep_mod._stopping_times(cl, model, spec, 1e-3, self.rngs(3),
-                                      100)
+            self.stopping_times((model, cl, spec), 1e-3, self.rngs(3), 100)
 
     def test_divergence_guard(self):
-        model, cl, spec = bench(2, gamma_root=3.0, c_root=3.0)
         with pytest.raises(DivergenceError):
-            sweep_mod._stopping_times(cl, model, spec, 1e-15, self.rngs(4),
-                                      10_000)
+            self.stopping_times(bench(2, gamma_root=3.0, c_root=3.0), 1e-15,
+                                self.rngs(4), 10_000)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_divergence_guard_catches_nan(self, dense, monkeypatch):
+        # Zero gain on an infinite start state gives 0 * inf = NaN, a
+        # norm that no ``>`` comparison flags.
+        model = SldsModel(n=2, p=1, regions=(radial_shell(0.0),),
+                          dynamics=((np.zeros((2, 2)), np.zeros((2, 1))),))
+        policy = Policy(pi=np.zeros((1, 2)))
+        spec = RewardSpec.bind(Q=np.eye(2), R=np.eye(1), policy=policy)
+        if dense:
+            monkeypatch.setattr(model_mod, "_scalar_gains", lambda cl: None)
+        with pytest.raises(DivergenceError) as info, \
+                np.errstate(invalid="ignore"):
+            lockstep(closed_loop(model, policy), model, spec, self.rngs(3),
+                     10, x0=np.array([math.inf, 0.0]))
+        assert math.isnan(info.value.norm)
+        assert info.value.step_index == 1
+
+    def test_runs_every_step_without_a_rule(self):
+        # Totals are S_N over x_1 .. x_N of each chain's own trajectory.
+        model, cl, spec = dense_shells(3)
+        steps, totals = lockstep(cl, model, spec, self.rngs(5), 300)
+        assert steps.tolist() == [300] * 5
+        for total, rng in zip(totals, self.rngs(5)):
+            traj = simulate(cl, model, spec, np.zeros(3), 301, rng)
+            assert total == pytest.approx(traj.rewards[1:].sum(), rel=1e-13)
+
+
+def reference_oracle(cl, model, spec, n_steps, rng):
+    """The per-step loops that computed ``reference_reward_average``
+    before it ran on the region table and on :func:`simulate`, kept as its
+    oracle: a scalar loop over shells for one-dimensional shell models
+    with norm reward, else the general loop over ``region_of``.  Both sum
+    4096 states per chunk and combine the chunks exactly."""
+    chunk = 4096
+    shells = [(r.r_lo, r.r_hi, float(a[0, 0]))
+              for r, a in zip(model.regions, cl.ahat)]
+    scalar = (model.n == 1 and spec.p_hat_is_identity
+              and all(r.kind == "radial" for r in model.regions))
+    x = np.zeros(model.n)
+    partials = []
+    total = float(abs(x[0])) if scalar else reward(x, spec)
+    count = 1
+    buf = np.empty((0, model.n))
+    buf_i = 0
+    for _ in range(n_steps - 1):
+        if buf_i == len(buf):
+            buf = rng.standard_normal((chunk, model.n))
+            buf_i = 0
+        if scalar:
+            r = abs(x[0])
+            g = next(g for r_lo, r_hi, g in shells
+                     if ((r <= r_hi) if r_lo == 0.0 else (r_lo < r <= r_hi)))
+            x = np.array([g * x[0] + buf[buf_i, 0]])
+            total += abs(x[0])
+        else:
+            x = cl.ahat[region_of(model, x)] @ x + buf[buf_i]
+            total += reward(x, spec)
+        buf_i += 1
+        count += 1
+        if count == chunk:
+            partials.append(total)
+            total, count = 0.0, 0
+    if count:
+        partials.append(total)
+    return math.fsum(partials) / n_steps
+
+
+def shadowed(system):
+    """The same chain with a polyhedral region declared last, which the
+    shells before it always win: the model is no longer a pure shell
+    model, so it takes the general path."""
+    model, cl, spec = system
+    n = model.n
+    model = SldsModel(n=n, p=model.p,
+                      regions=model.regions + (polyhedron(np.zeros((1, n)),
+                                                          [1.0], True),),
+                      dynamics=model.dynamics + model.dynamics[:1])
+    cl = ClosedLoop(ahat=cl.ahat + cl.ahat[:1],
+                    ahat_norms=cl.ahat_norms + cl.ahat_norms[:1])
+    return model, cl, spec
 
 
 class TestReferenceRewardAverage:
@@ -471,15 +535,45 @@ class TestReferenceRewardAverage:
         assert stream == pytest.approx(float(np.mean(traj.rewards)),
                                        rel=1e-12)
 
-    def test_scalar_and_generic_paths_agree(self, monkeypatch):
+    @pytest.mark.parametrize("n_steps", [1, 2, 4096, 4097, 10**5])
+    def test_scalar_path_equals_oracle(self, n_steps):
         model, cl, spec = bench()
-        fast = reference_reward_average(cl, model, spec, 5000,
-                                        np.random.default_rng(10))
-        monkeypatch.setattr(sweep_mod, "_radial_scalar_gains",
-                            lambda cl, model: None)
-        slow = reference_reward_average(cl, model, spec, 5000,
-                                        np.random.default_rng(10))
-        assert slow == pytest.approx(fast, rel=1e-13)
+        got = reference_reward_average(cl, model, spec, n_steps,
+                                       np.random.default_rng(10))
+        assert got == reference_oracle(cl, model, spec, n_steps,
+                                       np.random.default_rng(10))
+
+    def test_scalar_and_generic_paths_agree(self):
+        def average(system):
+            model, cl, spec = system
+            return reference_reward_average(cl, model, spec, 5000,
+                                            np.random.default_rng(10))
+        assert average(shadowed(bench())) == pytest.approx(average(bench()),
+                                                           rel=1e-13)
+
+    @pytest.mark.parametrize("n_steps", [1, 4096, 4097, 9000])
+    def test_general_path_at_n2(self, n_steps):
+        # Dense shells with a non-identity reward, and the n = 2 case
+        # study, both off the scalar path.
+        for model, cl, spec in (dense_shells(2), bench(2)):
+            got = reference_reward_average(cl, model, spec, n_steps,
+                                           np.random.default_rng(12))
+            want = reference_oracle(cl, model, spec, n_steps,
+                                    np.random.default_rng(12))
+            assert got == pytest.approx(want, rel=1e-13)
+            traj = simulate(cl, model, spec, np.zeros(2), n_steps,
+                            np.random.default_rng(12))
+            assert got == pytest.approx(math.fsum(traj.rewards) / n_steps,
+                                        rel=1e-15)
+
+    def test_uncovered_shell_raises(self):
+        model = SldsModel(n=1, p=1, regions=(radial_shell(0.0, 1.0),),
+                          dynamics=((2.0 * np.eye(1), np.zeros((1, 1))),))
+        policy = Policy(pi=np.zeros((1, 1)))
+        spec = RewardSpec.bind(Q=np.eye(1), R=np.eye(1), policy=policy)
+        with pytest.raises(NoRegion):
+            reference_reward_average(closed_loop(model, policy), model, spec,
+                                     10**4, np.random.default_rng(13))
 
     def test_argument_validation(self):
         model, cl, spec = bench()
@@ -658,6 +752,15 @@ class TestRunPipeline:
                      "gamma_raw.csv", "gamma_agg.csv", "manifest.json"):
             assert (out_a / name).read_bytes() == (
                 out_b / name).read_bytes()
+
+    def test_golden_pipeline_bytes_are_pinned(self, tmp_path):
+        # The golden pipeline's CSVs, byte for byte; the manifest records
+        # the platform, so it is left out.
+        config = Path(__file__).parent / "data" / "golden_pipeline.json"
+        assert run_pipeline(config, tmp_path) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+        assert got == GOLDEN_SHA256
 
     def test_config_errors_exit_2(self, tmp_path):
         bad_json = self.write(tmp_path, "{ not json")
