@@ -33,13 +33,12 @@ from .config import (
 )
 from .errors import ConfigError, SldsimError, report_error
 from .ergodicity import certify, classify_regions, drift_check, sample_in_ball
-from .model import closed_loop, simulate
+from .model import closed_loop, rewards_of, simulate
 from .regen import (
     Minorization,
     _block_sums,
     estimate_all,
     operational_minorization,
-    rewards_of,
     simulate_regenerative,
 )
 from .sweep import (
@@ -284,6 +283,9 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         data = read_json(args.config)
         if not isinstance(data, dict):
             raise ConfigError("sweep config must be a JSON object")
+        if "sweep" not in data and "regions" in data:
+            raise ConfigError(f"{args.config} is a model config, not a "
+                              f"sweep config")
         fields = data.get("sweep", data)
         if not isinstance(fields, dict):
             raise ConfigError("sweep section must be a JSON object")

@@ -72,17 +72,6 @@ class MinorizationViolation(SldsimError):
     """P(x, A) fell below beta * nu_hat(A) for a checked pair."""
 
 
-class RejectionStall(SldsimError):
-    """The residual-kernel rejection sampler failed to accept for too long."""
-
-    def __init__(self, attempts: int) -> None:
-        self.attempts = attempts
-        super().__init__(
-            f"residual sampler rejected {attempts} consecutive proposals; "
-            "the splitting probability is likely invalid for this small set"
-        )
-
-
 class InsufficientBlocks(SldsimError):
     """Too few complete regeneration blocks for the requested estimator."""
 

@@ -117,8 +117,13 @@ def polyhedron(L, C, declared_unbounded: bool) -> Region:
 # whatever the other rows are.  ``X @ A.T`` and ``np.linalg.norm(X,
 # axis=1)`` do not: their blocking can move the last bit.
 
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    """``x_k . x_k`` for every row ``x_k`` (``x . x`` for one vector)."""
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+    return np.sqrt(_row_dots(x))
 
 
 def _row_products(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -350,9 +355,19 @@ def spectral_norm(A: np.ndarray) -> float:
 def reward(x: np.ndarray, spec: RewardSpec) -> float:
     """Evaluate ``sqrt(x' P_hat x)``; tiny negative quadratics clip to 0."""
     if spec.p_hat_is_identity:
-        return float(np.linalg.norm(x))
+        return math.sqrt(x.dot(x))      # np.linalg.norm(x), bit for bit
     quad = float(x @ spec.p_hat @ x)
     return math.sqrt(max(quad, 0.0))
+
+
+def rewards_of(states: np.ndarray, spec: RewardSpec) -> np.ndarray:
+    """:func:`reward` of every row of an ``(L, n)`` state array, bit for
+    bit; with ``P_hat`` the identity these are the rows' norms."""
+    if spec.p_hat_is_identity:
+        return _row_norms(states)
+    quad = np.matmul(np.matmul(states[:, None, :], spec.p_hat),
+                     states[:, :, None])[:, 0, 0]
+    return np.sqrt(np.maximum(quad, 0.0))
 
 
 def step(cl: ClosedLoop, model: SldsModel, x: np.ndarray,
@@ -382,15 +397,24 @@ def simulate(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
         If a state norm exceeds ``DIVERGENCE_LIMIT`` (reported with its
         step index); certificate-violating models can overflow doubles.
     """
+    states = _path(cl, model, x0, n_steps, rng, zero_noise)
+    return Trajectory(states=states, rewards=rewards_of(states, spec),
+                      seed=seed_label)
+
+
+def _path(cl: ClosedLoop, model: SldsModel, x0: np.ndarray, n_steps: int,
+          rng: np.random.Generator, zero_noise: bool = False,
+          t0: int = 0) -> np.ndarray:
+    """States x_0..x_{n_steps-1} of one chain from ``x0``, the loop of
+    :func:`simulate`; ``t0`` is the step index of ``x0`` in divergence
+    reports."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x = np.asarray(x0, dtype=float)
     if x.shape != (model.n,):
         raise ValueError(f"x0 must have shape ({model.n},), got {x.shape}")
     states = np.empty((n_steps, model.n), dtype=float)
-    rewards = np.empty(n_steps, dtype=float)
     states[0] = x
-    rewards[0] = reward(x, spec)
     for t in range(1, n_steps):
         x = cl.ahat[region_of(model, x)] @ x
         if not zero_noise:
@@ -401,10 +425,21 @@ def simulate(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
             x = x + noise[i]
         nrm = math.sqrt(x.dot(x))
         if not nrm <= DIVERGENCE_LIMIT:
-            raise DivergenceError(step_index=t, norm=nrm)
+            raise DivergenceError(step_index=t0 + t, norm=nrm)
         states[t] = x
-        rewards[t] = reward(x, spec)
-    return Trajectory(states=states, rewards=rewards, seed=seed_label)
+    return states
+
+
+def _region_products(cl: ClosedLoop, x: np.ndarray,
+                     j: np.ndarray) -> np.ndarray:
+    """``Ahat_{j_k} x_k`` for every row ``x_k``, ``j`` from
+    :meth:`RegionTable.find_rows`."""
+    out = np.empty_like(x)
+    for idx, a in enumerate(cl.ahat):
+        rows = j == idx
+        if rows.any():
+            out[rows] = _row_products(x[rows], a)
+    return out
 
 
 def _scalar_gains(cl: ClosedLoop) -> np.ndarray | None:
@@ -464,27 +499,15 @@ def _lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
             for i in live:
                 rngs[i].standard_normal(out=noise[i])
         j = model.table.find_rows(x, norms)
-        if gains is not None:
-            x = gains[j][:, None] * x
-        else:
-            stepped = np.empty_like(x)
-            for idx, a in enumerate(cl.ahat):
-                rows = j == idx
-                if rows.any():
-                    stepped[rows] = _row_products(x[rows], a)
-            x = stepped
+        x = (gains[j][:, None] * x if gains is not None
+             else _region_products(cl, x, j))
         x += noise[live, t]
         norms = _row_norms(x)
         bounded = norms <= DIVERGENCE_LIMIT     # False for NaN
         if not bounded.all():
             raise DivergenceError(step_index=count + 1,
                                   norm=float(norms[np.argmin(bounded)]))
-        if spec.p_hat_is_identity:
-            r = norms
-        else:
-            quad = np.matmul(np.matmul(x[:, None, :], spec.p_hat),
-                             x[:, :, None])[:, 0, 0]
-            r = np.sqrt(np.maximum(quad, 0.0))
+        r = norms if spec.p_hat_is_identity else rewards_of(x, spec)
         if eps_stop is not None and count >= 1:
             hit = np.abs(total / count - r) / (count + 1) < eps_stop
             if hit.any():

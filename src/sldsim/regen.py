@@ -5,7 +5,9 @@ lets each transition out of ``S`` be decomposed as a mixture: with
 probability ``beta`` the next state is drawn from ``nu_hat`` (a
 regeneration), otherwise from the residual kernel. Marginally nothing
 changes, but the regeneration times cut the trajectory into i.i.d. blocks,
-which powers unbiased ratio estimators and block-based error bars.
+which powers unbiased ratio estimators and block-based error bars.  The
+split chain is run as the plain chain with each pair's regeneration bit
+drawn after the fact, which gives the same joint law.
 
 The certified minorization constant is far too small to ever fire in a
 feasible run, so simulation uses an operational pair: a smaller ball with
@@ -21,18 +23,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InsufficientBlocks,
-    MinorizationViolation,
-    NoRegeneration,
-    RejectionStall,
-)
+from .errors import InsufficientBlocks, MinorizationViolation, NoRegeneration
 from .ergodicity import Certificate, log_ball_volume, sample_in_ball
-from .model import ClosedLoop, RewardSpec, SldsModel, region_of
+from .model import (
+    ClosedLoop,
+    RewardSpec,
+    SldsModel,
+    _path,
+    _region_products,
+    _row_dots,
+    _row_norms,
+    rewards_of,
+    step,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-MAX_REJECTIONS = 1_000_000
+# States :func:`simulate_regenerative` adds per chunk past the horizon.
+_EXTENSION_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -67,18 +75,20 @@ class Minorization:
     def beta(self) -> float:
         return math.exp(self.log_beta)
 
-    def contains(self, x: np.ndarray) -> bool:
+    def contains(self, x: np.ndarray) -> bool | np.ndarray:
+        """Whether ``x``, or each row of a stack of states, lies in ``S``."""
         if self.kind == "gaussian":
-            return True
-        return float(np.linalg.norm(x)) <= self.s_radius
+            return np.full(x.shape[:-1], True)
+        return np.sqrt(_row_dots(x)) <= self.s_radius
 
-    def log_density(self, y: np.ndarray) -> float:
-        """Log density of the regeneration measure at ``y``."""
+    def log_density(self, y: np.ndarray) -> float | np.ndarray:
+        """Log density of the regeneration measure at ``y``, or at each row
+        of a stack of states."""
+        sq = _row_dots(y)
         if self.kind == "gaussian":
-            return -(self.n / 2.0) * LOG_2PI - 0.5 * float(np.dot(y, y))
-        if float(np.linalg.norm(y)) > self.s_radius:
-            return -math.inf
-        return -self.log_vol
+            return -(self.n / 2.0) * LOG_2PI - 0.5 * sq
+        return np.where(np.sqrt(sq) <= self.s_radius, -self.log_vol,
+                        -math.inf)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "gaussian":
@@ -125,22 +135,29 @@ def check_minorization_pointwise(cl: ClosedLoop, model: SldsModel,
 
     Returns the smallest log margin ``log p_x(y) - log beta - log q(y)``
     over the grid; raises if any sampled pair violates the inequality
-    (which would make the residual kernel of :func:`split_step` invalid).
+    (which would make the regeneration probability of :func:`split_step`
+    exceed 1).
     """
-    worst = math.inf
-    for _ in range(n_grid):
-        x = minor.sample(rng)
-        y = minor.sample(rng)
-        mean = cl.ahat[region_of(model, x)] @ x
-        diff = y - mean
-        log_p = -(minor.n / 2.0) * LOG_2PI - 0.5 * float(np.dot(diff, diff))
-        margin = log_p - minor.log_beta - minor.log_density(y)
-        worst = min(worst, margin)
-    if worst < -1e-9:
+    pairs = np.array([(minor.sample(rng), minor.sample(rng))
+                      for _ in range(n_grid)])
+    return -float(_log_ratios(cl, model, minor, minor.log_beta,
+                              pairs[:, 0], pairs[:, 1]).max())
+
+
+def _log_ratios(cl: ClosedLoop, model: SldsModel, minor: Minorization,
+                log_beta: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``log(beta q(y_k) / p(y_k | x_k))`` for row pairs with ``x_k`` in
+    ``S``; raises :class:`MinorizationViolation` where one exceeds 1e-9."""
+    j = model.table.find_rows(x, _row_norms(x))
+    log_p = (-(model.n / 2.0) * LOG_2PI
+             - 0.5 * _row_dots(y - _region_products(cl, x, j)))
+    out = log_beta + minor.log_density(y) - log_p
+    worst = float(out.max())
+    if worst > 1e-9:
         raise MinorizationViolation(
-            f"beta * q(y) exceeds the transition density by a log margin of "
-            f"{worst!r} on the validation grid")
-    return worst
+            f"beta * q(y) exceeds the transition density p(y | x) at a "
+            f"checked pair (log ratio {worst!r})")
+    return out
 
 
 @dataclass(frozen=True)
@@ -160,46 +177,40 @@ def sample_nu_hat(minor: Minorization,
 def split_step(x: np.ndarray, cl: ClosedLoop, model: SldsModel,
                minor: Minorization, beta_op: float,
                rng: np.random.Generator) -> tuple[SplitState, np.ndarray]:
-    """One split-chain transition; marginally identical to the plain step.
+    """One split-chain transition: a plain step, then the regeneration bit
+    of that pair (the one-step case of :func:`simulate_regenerative`)."""
+    log_beta_op = _log_beta_op(minor, beta_op)
+    y = step(cl, model, x, rng)
+    bit = _split_bits(cl, model, minor, log_beta_op, np.stack([x, y]), rng)
+    return SplitState(x=x, theta=int(bit[0])), y
 
-    Outside ``S`` the bit is 0 and the step is a plain Gaussian step. Inside
-    ``S`` the bit is Bernoulli(``beta_op``); on 1 the next state is a fresh
-    draw from ``nu_hat``, on 0 it comes from the residual kernel, sampled by
-    rejection: propose a plain step ``y`` and accept with probability
-    ``1 - beta_op q(y) / p_x(y)``, which is a valid probability because the
-    minorization guarantees ``p_x >= beta_op q`` pointwise on ``S``.
 
-    Raises
-    ------
-    RejectionStall
-        After 10^6 consecutive rejections, which indicates ``beta_op`` is
-        not actually dominated by the transition density.
-    """
+def _log_beta_op(minor: Minorization, beta_op: float) -> float:
     if not (0.0 < beta_op <= 1.0):
         raise ValueError("beta_op must lie in (0, 1]")
     if math.log(beta_op) > minor.log_beta + 1e-12:
         raise ValueError(
             f"beta_op = {beta_op!r} exceeds the certified minorization "
             f"constant exp({minor.log_beta!r})")
-    j = region_of(model, x)
-    mean = cl.ahat[j] @ x
-    n = model.n
-    if not minor.contains(x):
-        return SplitState(x=x, theta=0), mean + rng.standard_normal(n)
-    if rng.random() < beta_op:
-        return SplitState(x=x, theta=1), minor.sample(rng)
-    log_beta_op = math.log(beta_op)
-    for _ in range(MAX_REJECTIONS):
-        w = rng.standard_normal(n)
-        y = mean + w
-        log_q = minor.log_density(y)
-        if log_q == -math.inf:
-            return SplitState(x=x, theta=0), y
-        log_p = -(n / 2.0) * LOG_2PI - 0.5 * float(np.dot(w, w))
-        # reject with probability beta_op * q(y) / p_x(y)
-        if rng.random() >= math.exp(log_beta_op + log_q - log_p):
-            return SplitState(x=x, theta=0), y
-    raise RejectionStall(MAX_REJECTIONS)
+    return math.log(beta_op)
+
+
+def _split_bits(cl: ClosedLoop, model: SldsModel, minor: Minorization,
+                log_beta_op: float, path: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """Regeneration bits of the pairs ``(path[t], path[t + 1])`` of a plain
+    chain, drawn after the fact (Mykland, Tierney & Yu, JASA 1995): for
+    ``x_t`` in ``S``, Bernoulli(``beta_op q(x_{t+1}) / p(x_{t+1} | x_t)``)
+    with one uniform per pair, else 0.  The chain with these bits has the
+    split chain's joint law."""
+    x, y = path[:-1], path[1:]
+    bits = np.zeros(len(x), dtype=np.uint8)
+    inside = np.flatnonzero(minor.contains(x))
+    if inside.size:
+        log_ratio = _log_ratios(cl, model, minor, log_beta_op, x[inside],
+                                y[inside])
+        bits[inside] = rng.random(inside.size) < np.exp(log_ratio)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -280,43 +291,38 @@ def simulate_regenerative(cl: ClosedLoop, model: SldsModel,
     or ``"given"`` (use ``x0``). If no regeneration occurs within
     ``max_extension`` steps past the horizon the log is returned without a
     closing regeneration; estimators then fall back to plain averages.
+
+    The states are the plain chain's (the first ``horizon + 1`` are
+    :func:`simulate`'s bit for bit with ``x0_mode="given"``), and each
+    chunk's pairs get their bits after the fact.  Raises as :func:`simulate`
+    does, and :class:`MinorizationViolation` where ``beta_op q(y)`` exceeds
+    the transition density at a pair.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
+    log_beta_op = _log_beta_op(minor, beta_op)
     if x0_mode == "nu_hat":
         x = minor.sample(rng)
     elif x0_mode == "given":
         if x0 is None:
             raise ValueError("x0_mode='given' requires x0")
-        x = np.asarray(x0, dtype=float)
+        x = x0
     else:
         raise ValueError(f"unknown x0_mode {x0_mode!r}")
 
-    cap = horizon + max_extension
-    states = np.empty((min(cap, 2 * horizon), model.n), dtype=float)
-    thetas = np.empty(states.shape[0], dtype=np.uint8)
-    t = 0
-    while True:
-        if t == len(states):
-            # Rows past t are filled before they are read.
-            states = np.resize(states, (min(cap, 2 * t), model.n))
-            thetas = np.resize(thetas, len(states))
-        states[t] = x
-        split, x_next = split_step(x, cl, model, minor, beta_op, rng)
-        thetas[t] = split.theta
-        t += 1
-        if (split.theta == 1 and t > horizon) or t >= cap:
-            break
-        x = x_next
-    return RegenerationLog.from_raw(states[:t], thetas[:t], horizon)
-
-
-def rewards_of(states: np.ndarray, spec: RewardSpec) -> np.ndarray:
-    """Vectorized per-state rewards for a (L, n) state array."""
-    if spec.p_hat_is_identity:
-        return np.linalg.norm(states, axis=1)
-    quad = np.einsum("ij,jk,ik->i", states, spec.p_hat, states)
-    return np.sqrt(np.clip(quad, 0.0, None))
+    path = _path(cl, model, x, horizon + 1, rng)
+    states = [path]
+    bits = [_split_bits(cl, model, minor, log_beta_op, path, rng)]
+    t, cap = horizon, horizon + max_extension   # t: pairs with a bit
+    # Bits past the first chunk have t >= horizon: any 1 closes the log.
+    while t < cap and (t == horizon or not bits[-1].any()):
+        path = _path(cl, model, path[-1], min(_EXTENSION_CHUNK, cap - t) + 1,
+                     rng, t0=t)
+        states.append(path[1:])
+        bits.append(_split_bits(cl, model, minor, log_beta_op, path, rng))
+        t += len(path) - 1
+    return RegenerationLog.from_raw(np.concatenate(states)[:t],
+                                    np.concatenate(bits), horizon)
 
 
 @dataclass(frozen=True)
@@ -368,9 +374,8 @@ def estimate_reward(log: RegenerationLog, spec: RewardSpec,
     block reward sums to block lengths; block boundaries are regeneration
     times, so resampled blocks are exchangeable.
     """
-    n = log.horizon
-    r = rewards_of(log.states[:n], spec)
-    value = float(np.mean(r))
+    r = rewards_of(log.states, spec)
+    value = float(np.mean(r[:log.horizon]))
     if not log.taus:
         warnings.warn("no regenerations in the log; returning a plain time "
                       "average without block-based error estimates")
@@ -379,8 +384,7 @@ def estimate_reward(log: RegenerationLog, spec: RewardSpec,
     if log.block_count >= 30:
         if rng is None:
             rng = np.random.default_rng(0)
-        r_full = rewards_of(log.states, spec)
-        sums = _block_sums(log, r_full)
+        sums = _block_sums(log, r)
         lens = np.diff(np.asarray(log.taus, dtype=float))
         m = sums.shape[0]
         idx = rng.integers(0, m, size=(n_bootstrap, m))

@@ -482,11 +482,17 @@ class TestCliSweeps:
         assert ((out_a / "dimension_raw.csv").read_bytes()
                 != (out_b / "dimension_raw.csv").read_bytes())
 
-    def test_bad_config_exits_2(self, tmp_path):
+    def test_bad_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"sweep": {"bogus": 1}}))
         assert main(["sweep-dim", "--config", str(p),
                      "--out", str(tmp_path / "o")]) == 2
+        # A model config is named as one, not as unknown sweep keys.
+        capsys.readouterr()
+        assert main(["sweep-dim", "--config", make_config(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "is a model config" in err and err.count("\n") == 1
 
 
 class TestCliParser:

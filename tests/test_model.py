@@ -19,6 +19,7 @@ from sldsim import (
     radial_shell,
     region_of,
     reward,
+    rewards_of,
     simulate,
     spectral_norm,
     step,
@@ -393,11 +394,20 @@ class TestSimulate:
         assert traj.states[:, 0] == pytest.approx([10.0, 9.0, 8.1])
 
     def test_rewards_match_states(self):
-        sys = build_system(2)
-        traj = simulate(sys.cl, sys.model, sys.spec, np.zeros(2), 300,
-                        np.random.default_rng(9))
-        again = np.array([reward(x, sys.spec) for x in traj.states])
-        assert np.array_equal(traj.rewards, again)
+        # simulate and rewards_of give the per-vector reward bit for bit,
+        # for the identity and a dense P_hat.
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 10, 100):
+            sys = build_system(n)
+            q = rng.standard_normal((n, n))
+            dense = RewardSpec.bind(Q=q @ q.T, R=np.eye(1),
+                                    policy=sys.policy)
+            for spec in (sys.spec, dense):
+                traj = simulate(sys.cl, sys.model, spec, np.zeros(n), 300,
+                                np.random.default_rng(n))
+                again = np.array([reward(x, spec) for x in traj.states])
+                assert np.array_equal(traj.rewards, again)
+                assert np.array_equal(rewards_of(traj.states, spec), again)
 
     def test_time_average_respects_drift_ceiling(self):
         sys = build_system(1)

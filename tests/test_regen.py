@@ -9,27 +9,30 @@ import pytest
 from scipy import stats
 
 from sldsim import (
+    DivergenceError,
     InsufficientBlocks,
     Minorization,
     MinorizationViolation,
     NoRegeneration,
     Policy,
     RegenerationLog,
-    RejectionStall,
     RewardSpec,
+    SldsModel,
     check_minorization_pointwise,
+    closed_loop,
     decompose_sum,
     estimate_invariant_prob,
     estimate_reward,
     estimate_sigma2_as,
     iid_debug_minorization,
     operational_minorization,
+    radial_shell,
     rewards_of,
     sample_nu_hat,
+    simulate,
     simulate_regenerative,
     split_step,
 )
-import sldsim.regen as regen_mod
 
 from conftest import build_system, contracting_system, zero_system
 
@@ -140,19 +143,6 @@ class TestSampleNuHat:
         assert abs(y[0]) <= op.s_radius
 
 
-class FakeRng:
-    """Scripted generator: fixed uniform stream, zero normals."""
-
-    def __init__(self, uniforms):
-        self.uniforms = list(uniforms)
-
-    def random(self):
-        return self.uniforms.pop(0) if self.uniforms else 0.0
-
-    def standard_normal(self, n):
-        return np.zeros(n)
-
-
 class TestSplitStep:
     def test_beta_op_validated(self):
         sys = contracting_system(1)
@@ -218,16 +208,18 @@ class TestSplitStep:
             split, x = split_step(x, sys.cl, sys.model, op, 1e-300, rng)
             assert split.theta == 0
 
-    def test_rejection_stall_detected(self, monkeypatch):
-        monkeypatch.setattr(regen_mod, "MAX_REJECTIONS", 500)
+    def test_minorization_violation_detected(self):
+        # On the zero system the kernel is N(0, 1), but 0.5 times the
+        # uniform density on [-5, 5] exceeds it wherever |y| > 1.85.
         sys = zero_system(1)
         minor = Minorization(n=1, s_radius=5.0, log_beta=math.log(0.5))
-        # First uniform skips the regeneration branch; every later
-        # uniform is 0, rejecting each in-support proposal, and the
-        # scripted normals keep proposals at the mean (inside support).
-        rng = FakeRng([0.9])
-        with pytest.raises(RejectionStall):
-            split_step(np.zeros(1), sys.cl, sys.model, minor, 0.5, rng)
+        with pytest.raises(MinorizationViolation):
+            simulate_regenerative(sys.cl, sys.model, minor, 0.5, 100,
+                                  np.random.default_rng(27))
+        rng = np.random.default_rng(28)
+        with pytest.raises(MinorizationViolation):
+            for _ in range(200):
+                split_step(np.zeros(1), sys.cl, sys.model, minor, 0.5, rng)
 
 
 def hand_log():
@@ -313,6 +305,19 @@ class TestSimulateRegenerative:
         expect = beta * hits
         assert abs(len(log.taus) - expect) < 5 * math.sqrt(expect)
 
+    def test_state_after_regeneration_is_nu_hat(self):
+        # Given theta_t = 1, x_{t+1} is a draw from nu_hat: uniform on
+        # the ball S, whatever x_t was.
+        sys = contracting_system(1)
+        op = operational_minorization(sys.cert)
+        log = simulate_regenerative(sys.cl, sys.model, op, op.beta(), 20_000,
+                                    np.random.default_rng(31))
+        fresh = log.states[np.asarray(log.taus[:-1]), 0]
+        assert fresh.size >= 300
+        assert np.all(np.abs(fresh) <= op.s_radius)
+        uniform = stats.uniform(loc=-op.s_radius, scale=2 * op.s_radius)
+        assert stats.kstest(fresh, uniform.cdf).pvalue > 0.01
+
     def test_iid_debug_regenerates_every_step(self):
         sys = zero_system(1)
         minor = iid_debug_minorization(1)
@@ -337,6 +342,42 @@ class TestSimulateRegenerative:
             est = estimate_reward(log, sys.spec)
         assert est.block_count == 0
         assert est.standard_error is None
+
+    @pytest.mark.parametrize("make, x0", [
+        (lambda: contracting_system(2), [1.0, 0.0]),
+        (lambda: build_system(1), [15.0]),
+        (lambda: build_system(10), [0.1] * 10),
+    ], ids=["contracting-n2", "never-in-S-n1", "case-n10"])
+    def test_states_are_the_plain_chain(self, make, x0):
+        # The split chain's states are simulate's on the same generator.
+        sys = make()
+        op = operational_minorization(sys.cert)
+        x0 = np.array(x0)
+        log = simulate_regenerative(sys.cl, sys.model, op, op.beta(), 3000,
+                                    np.random.default_rng(29),
+                                    x0_mode="given", x0=x0,
+                                    max_extension=100)
+        plain = simulate(sys.cl, sys.model, sys.spec, x0, 3001,
+                         np.random.default_rng(29)).states
+        assert np.array_equal(log.states[:3001], plain)
+
+    def test_divergence_raises(self):
+        # Gain 2 everywhere: the chain overflows before any regeneration,
+        # at the same step whether that lies in the first chunk or in an
+        # extension chunk past a short horizon.
+        model = SldsModel(n=1, p=1, regions=(radial_shell(0.0),),
+                          dynamics=((np.array([[2.0]]), np.zeros((1, 1))),))
+        cl = closed_loop(model, Policy(pi=np.zeros((1, 1))))
+        minor = Minorization(n=1, s_radius=0.5, log_beta=-5.0)
+        steps = []
+        for horizon in (2000, 2):
+            with pytest.raises(DivergenceError) as info:
+                simulate_regenerative(cl, model, minor, minor.beta(),
+                                      horizon, np.random.default_rng(30),
+                                      x0_mode="given", x0=np.array([1.0]),
+                                      max_extension=2000)
+            steps.append(info.value.step_index)
+        assert steps[0] == steps[1] and 0 < steps[0] < 2000
 
     def test_argument_validation(self):
         sys = contracting_system(1)
