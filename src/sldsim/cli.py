@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +184,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         cl, cfg.model, minor, beta_op, args.n_steps, rng,
         x0_mode="given" if given else "nu_hat",
         x0=_parse_x0(args.x0, cfg.model.n) if given else None)
-    output = estimate_all(log, cfg.reward)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        output = estimate_all(log, cfg.reward)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
 
     out = _out_dir(args)
     blocks_path = out / "blocks.csv"

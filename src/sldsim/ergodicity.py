@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
 
 from .errors import (
     ClassificationConflict,
@@ -109,17 +108,6 @@ class DriftReport:
     @property
     def ok(self) -> bool:
         return not self.quadratic_violations and not self.scaled_violations
-
-
-@dataclass(frozen=True)
-class OverlapReport:
-    n_pairs: int
-    min_log_alpha: float
-    max_mean_distance: float
-
-    @property
-    def all_positive(self) -> bool:
-        return math.isfinite(self.min_log_alpha)
 
 
 @dataclass(frozen=True)
@@ -268,10 +256,12 @@ def beta_lower_bound(cl: ClosedLoop, s_radius: float, n: int) -> float:
 
 def log_ball_volume(n: int, radius: float) -> float:
     """Log Lebesgue volume of the n-ball of the given radius."""
+    from scipy.special import gammaln
+
     if radius <= 0:
         return -math.inf
     return (n / 2.0) * math.log(math.pi) + n * math.log(radius) \
-        - special.gammaln(n / 2.0 + 1.0)
+        - gammaln(n / 2.0 + 1.0)
 
 
 def drift_check(cl: ClosedLoop, model: SldsModel, cert: Certificate,
@@ -343,14 +333,19 @@ def gaussian_overlap(mu1: np.ndarray, mu2: np.ndarray) -> float:
         alpha = 2 Phi(-||mu1 - mu2|| / 2),
 
     and the total-variation distance between the kernels is
-    ``2 (1 - alpha)``.
+    ``2 (1 - alpha)``.  ``Phi`` is ``scipy.special.ndtr``, the function
+    ``scipy.stats.norm.cdf`` evaluates.
     """
-    return 2.0 * float(stats.norm.cdf(-_distance(mu1, mu2) / 2.0))
+    from scipy.special import ndtr
+
+    return 2.0 * float(ndtr(-_distance(mu1, mu2) / 2.0))
 
 
 def log_gaussian_overlap(mu1: np.ndarray, mu2: np.ndarray) -> float:
     """Log of :func:`gaussian_overlap`; finite for any finite separation."""
-    return math.log(2.0) + float(stats.norm.logcdf(-_distance(mu1, mu2) / 2.0))
+    from scipy.special import log_ndtr
+
+    return math.log(2.0) + float(log_ndtr(-_distance(mu1, mu2) / 2.0))
 
 
 def _distance(mu1, mu2) -> float:
@@ -369,33 +364,6 @@ def sample_in_ball(dim: int, radius: float,
     return radius * rng.random() ** (1.0 / dim) * z
 
 
-def overlap_positivity_check(cl: ClosedLoop, model: SldsModel,
-                             cert: Certificate, n_pairs: int,
-                             rng: np.random.Generator) -> OverlapReport:
-    """Empirical positivity of the one-step kernel overlap on pairs.
-
-    Samples pairs ``(x, y)`` uniformly from the coupling region
-    ``{ ||x||^2 + ||y||^2 <= r_hat }`` (a ball in the joint space), computes
-    the overlap of the transition kernels ``N(Ahat_{j(x)} x, I)`` and
-    ``N(Ahat_{j(y)} y, I)`` in the log domain, and reports the smallest
-    value seen. Positivity is analytic for Gaussians; a non-finite log
-    would indicate numeric underflow, which the log-domain form avoids.
-    """
-    n = cert.n
-    radius = math.sqrt(cert.r_hat)
-    min_log = math.inf
-    max_dist = 0.0
-    for _ in range(n_pairs):
-        joint = sample_in_ball(2 * n, radius, rng)
-        x, y = joint[:n], joint[n:]
-        mx = cl.ahat[region_of(model, x)] @ x
-        my = cl.ahat[region_of(model, y)] @ y
-        max_dist = max(max_dist, _distance(mx, my))
-        min_log = min(min_log, log_gaussian_overlap(mx, my))
-    return OverlapReport(n_pairs=n_pairs, min_log_alpha=min_log,
-                         max_mean_distance=max_dist)
-
-
 def minorization_check(cl: ClosedLoop, model: SldsModel, cert: Certificate,
                        boxes: list[tuple[np.ndarray, np.ndarray]],
                        points: list[np.ndarray],
@@ -409,10 +377,13 @@ def minorization_check(cl: ClosedLoop, model: SldsModel, cert: Certificate,
     ``nu_hat(A) = vol(A intersect S) / vol(S)`` is estimated by
     quasi-Monte Carlo points in the box. Feasible for n <= 3 only.
     """
+    from scipy.special import ndtr
+    from scipy.stats import qmc
+
     n = cert.n
     if n > 3:
         raise ValueError("minorization_check supports n <= 3")
-    sampler = stats.qmc.Sobol(d=n, scramble=False)
+    sampler = qmc.Sobol(d=n, scramble=False)
     unit = sampler.random_base2(m=sobol_log2)
     log_vol_s = log_ball_volume(n, cert.s_radius)
 
@@ -427,7 +398,7 @@ def minorization_check(cl: ClosedLoop, model: SldsModel, cert: Certificate,
             hi = np.asarray(hi, dtype=float)
             if np.any(hi < lo):
                 raise ValueError(f"box {bi} has hi < lo")
-            factors = special.ndtr(hi - mean) - special.ndtr(lo - mean)
+            factors = ndtr(hi - mean) - ndtr(lo - mean)
             p = float(np.prod(np.clip(factors, 0.0, 1.0)))
             log_p = math.log(p) if p > 0 else -math.inf
             pts = lo + unit * (hi - lo)

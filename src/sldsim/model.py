@@ -163,18 +163,20 @@ class RegionTable:
         self.C = np.concatenate([r.C for _, r in polys]) if polys else None
         self.starts = np.cumsum([0] + [len(r.C) for _, r in polys[:-1]])
 
-    def find(self, x: np.ndarray) -> int:
-        """The region of the state ``x``, or ``none``."""
+    def find(self, x: np.ndarray, norm: float | None = None) -> int:
+        """The region of the state ``x``, or ``none``; ``norm``, when
+        given, is ``math.sqrt(x.dot(x))``, already computed."""
         j = self.none
         if self.breaks:
-            r = math.sqrt(x.dot(x))     # np.linalg.norm(x), bit for bit
+            r = math.sqrt(x.dot(x)) if norm is None else norm
             k = bisect_left(self.breaks, r)
             if k or r == 0.0:           # bisect puts NaN at 0
                 j = self.owners[k]
         if self.L is not None:
             hit = np.logical_and.reduceat(self.L @ x <= self.C, self.starts)
-            if hit.any():
-                j = min(j, self.poly_ids[hit.argmax()])
+            k = hit.argmax()
+            if hit[k]:
+                j = min(j, self.poly_ids[k])
         return j
 
     def find_rows(self, x: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -415,8 +417,13 @@ def _path(cl: ClosedLoop, model: SldsModel, x0: np.ndarray, n_steps: int,
         raise ValueError(f"x0 must have shape ({model.n},), got {x.shape}")
     states = np.empty((n_steps, model.n), dtype=float)
     states[0] = x
+    find, none = model.table.find, model.table.none
+    nrm = math.sqrt(x.dot(x))       # np.linalg.norm(x), bit for bit
     for t in range(1, n_steps):
-        x = cl.ahat[region_of(model, x)] @ x
+        j = find(x, nrm)
+        if j == none:
+            raise NoRegion(x)
+        x = cl.ahat[j] @ x
         if not zero_noise:
             i = (t - 1) % _NOISE_CHUNK
             if i == 0:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,14 +59,17 @@ class Minorization:
     s_radius: float
     log_beta: float
     kind: str = "ball"
-    log_vol: float = field(default=math.nan, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("ball", "gaussian"):
             raise ValueError(f"unknown minorization kind {self.kind!r}")
-        if self.kind == "ball" and math.isnan(self.log_vol):
-            object.__setattr__(
-                self, "log_vol", log_ball_volume(self.n, self.s_radius))
+
+    @cached_property
+    def log_vol(self) -> float:
+        """Log volume of the ball ``S``; NaN for the Gaussian kind."""
+        if self.kind == "gaussian":
+            return math.nan
+        return log_ball_volume(self.n, self.s_radius)
 
     @classmethod
     def from_certificate(cls, cert: Certificate) -> "Minorization":
@@ -116,15 +120,26 @@ def operational_minorization(cert: Certificate,
     if radius <= 0:
         raise ValueError("radius must be positive")
     d = radius * (1.0 + max_gain)
-    log_vol = log_ball_volume(cert.n, radius)
-    log_beta = -(cert.n / 2.0) * LOG_2PI - 0.5 * d * d + min(0.0, log_vol)
+    log_beta = (-(cert.n / 2.0) * LOG_2PI - 0.5 * d * d
+                + _log_volume_below_one(cert.n, radius))
     return Minorization(n=cert.n, s_radius=radius, log_beta=log_beta)
+
+
+def _log_volume_below_one(n: int, radius: float) -> float:
+    """``min(0, log_ball_volume(n, radius))``.  ``math.lgamma`` is
+    ``gammaln`` to within a few ulps, so a ball whose volume it puts
+    clearly above 1 gives 0 without loading ``scipy.special``."""
+    terms = ((n / 2.0) * math.log(math.pi), n * math.log(radius),
+             math.lgamma(n / 2.0 + 1.0))
+    if terms[0] + terms[1] - terms[2] > 1e-9 * (1.0 + sum(map(abs, terms))):
+        return 0.0
+    return min(0.0, log_ball_volume(n, radius))
 
 
 def iid_debug_minorization(n: int) -> Minorization:
     """Full splitting for zero dynamics: ``S`` is everything, beta is 1."""
     return Minorization(n=n, s_radius=math.inf, log_beta=0.0,
-                        kind="gaussian", log_vol=math.nan)
+                        kind="gaussian")
 
 
 def check_minorization_pointwise(cl: ClosedLoop, model: SldsModel,

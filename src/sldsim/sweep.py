@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
 from .errors import (ConfigError, DivergenceError, MaxStepsExceeded,
                      SldsimError, report_error)
@@ -393,13 +392,23 @@ def sweep_gamma(cfg: SweepConfig) -> SweepResult:
             raw.extend(raws)
             cells.append(cell)
             per_gamma.append(cell.n_avg)
-        if len(cfg.gammas) < 2:
-            spearman[n] = None
-        else:
-            stat = scipy.stats.spearmanr(cfg.gammas, per_gamma).statistic
-            spearman[n] = None if math.isnan(stat) else float(stat)
+        spearman[n] = _spearman(cfg.gammas, per_gamma)
     return SweepResult(kind="gamma", config=cfg, raw=tuple(raw),
                        cells=tuple(cells), fits={}, spearman=spearman)
+
+
+def _spearman(x, y) -> float | None:
+    """Spearman's rank correlation as ``scipy.stats.spearmanr(x, y)``
+    computes it, bit for bit: average ranks for ties, then the Pearson
+    correlation of the rank columns.  ``None`` when a sample is constant,
+    holds NaN or has fewer than two points."""
+    xy = np.column_stack([x, y]).astype(float)
+    if len(xy) < 2 or np.isnan(xy).any() or (xy == xy[0]).all(axis=0).any():
+        return None
+    below = (xy[:, None] > xy[None]).sum(axis=1)
+    ties = (xy[:, None] == xy[None]).sum(axis=1)
+    ranks = below + (ties + 1) / 2
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def write_raw_csv(result: SweepResult, path: str | Path) -> None:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from sldsim import (
     write_trajectory_csv,
 )
 from sldsim.config import fmt, sha256_of_file, sha256_of_text
+import sldsim.cli as cli
 from sldsim.cli import main
 from sldsim.errors import DivergenceError, NotCertifiable, report_error
 from sldsim.regen import operational_minorization
@@ -385,6 +388,26 @@ class TestCliEstimate:
                          "--seed", "3"]) == 0
         a = (outs[0] / "estimate.json").read_bytes()
         assert a == (outs[1] / "estimate.json").read_bytes()
+
+    def test_no_regenerations_is_one_warning_line(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # The benchmark chain started at 15 circles the rho ball and never
+        # enters the operational set; a short extension cap keeps it quick.
+        monkeypatch.setattr(cli, "simulate_regenerative", functools.partial(
+            cli.simulate_regenerative, max_extension=200))
+        cfg = make_config(tmp_path)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["estimate", "--config", cfg, "--out", str(out),
+                       "--n-steps", "200", "--x0", "15"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: no regenerations")
+        assert err.count("\n") == 1
+        summary = json.loads((out / "estimate.json").read_text())
+        assert summary["regenerations"] == 0
+        assert summary["standard_error"] is None
 
 
 class TestCliBound:

@@ -27,7 +27,6 @@ from sldsim import (
     log_ball_volume,
     log_gaussian_overlap,
     minorization_check,
-    overlap_positivity_check,
     polyhedron,
     radial_shell,
     region_of,
@@ -306,17 +305,15 @@ class TestGaussianOverlap:
         assert math.exp(mid) == pytest.approx(
             gaussian_overlap(np.zeros(1), np.array([3.0])), rel=1e-12)
 
-
-class TestOverlapPositivity:
-    def test_benchmark_pairs_all_positive(self):
-        sys = build_system(1)
-        report = overlap_positivity_check(sys.cl, sys.model, sys.cert,
-                                          100, np.random.default_rng(5))
-        assert report.all_positive
-        assert report.n_pairs == 100
-        # Joint radius sqrt(r_hat), worst per-point gain 2.
-        assert report.max_mean_distance <= \
-            2.0 * 2.0 * math.sqrt(sys.cert.r_hat)
+    def test_equals_scipy_stats_norm_forms_bitwise(self):
+        # The overlap calls scipy.special directly, so that scipy.stats
+        # stays unloaded; the doubles are those of the stats.norm forms.
+        for d in np.linspace(0.0, 80.0, 801):
+            mu = np.array([d])
+            assert gaussian_overlap(np.zeros(1), mu) == \
+                2.0 * float(stats.norm.cdf(-d / 2.0))
+            assert log_gaussian_overlap(np.zeros(1), mu) == \
+                math.log(2.0) + float(stats.norm.logcdf(-d / 2.0))
 
 
 class TestBallVolume:

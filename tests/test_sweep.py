@@ -5,10 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from sldsim import (
     ClosedLoop,
@@ -39,6 +43,7 @@ import sldsim.sweep as sweep_mod
 from sldsim.model import DIVERGENCE_LIMIT, lockstep
 from sldsim.sweep import (
     _fit_upper_half,
+    _spearman,
     sweep_config_from_dict,
     write_agg_csv,
     write_raw_csv,
@@ -635,6 +640,46 @@ class TestFitUpperHalf:
         assert fit.n_points == 4
 
 
+GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_pipeline.json"
+
+
+class TestSpearman:
+    @staticmethod
+    def scipy_statistic(x, y) -> float:
+        return float(scipy.stats.spearmanr(x, y).statistic)
+
+    def test_golden_gain_sweep_values_bitwise(self):
+        cfg = sweep_config_from_dict(
+            json.loads(GOLDEN_CONFIG.read_text())["sweep"])
+        res = sweep_gamma(cfg)
+        for n in cfg.gamma_dims:
+            per_gamma = [c.n_avg for c in res.cells if c.n == n]
+            expect = self.scipy_statistic(cfg.gammas, per_gamma)
+            assert _spearman(cfg.gammas, per_gamma) == expect
+            assert res.spearman[n] == expect
+
+    def test_ties_and_two_points_bitwise(self):
+        rng = np.random.default_rng(11)
+        cases = [([1.0, 2.0], [5.0, 3.0]), ([0.0, 1.0], [0.0, 1.0]),
+                 ([1.0, 2.0, 2.0, 3.0, 3.0, 3.0],
+                  [4.0, 1.0, 1.0, 2.0, 9.0, 0.5]),
+                 ([0.5, 0.5, 0.7, 0.9], [10.0, 12.0, 12.0, 11.0])]
+        for _ in range(200):
+            k = int(rng.integers(2, 12))
+            cases.append((rng.integers(0, 4, k).astype(float),
+                          rng.standard_normal(k)))
+        for x, y in cases:
+            if len(set(x)) > 1 and len(set(y)) > 1:
+                assert _spearman(x, y) == self.scipy_statistic(x, y)
+
+    def test_undefined_cases_are_none(self):
+        assert _spearman([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]) is None
+        assert _spearman([2.0, 2.0], [1.0, 3.0]) is None
+        assert _spearman([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]) is None
+        assert _spearman([1.0], [2.0]) is None
+        assert _spearman([], []) is None
+
+
 class TestSweeps:
     def test_dimension_sweep_shape(self):
         cfg = SweepConfig(dims=(1, 2), trials=3, eps_stop=1e-2)
@@ -787,3 +832,39 @@ class TestRunPipeline:
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         assert run_pipeline(cfg, blocker / "out") == 4
+
+
+class TestImportPath:
+    SCRIPT = """
+import json, sys
+import numpy as np
+import sldsim, sldsim.cli
+from sldsim import (build_case_study, certify, classify_regions,
+                    closed_loop, reference_reward_average, run_pipeline,
+                    validate_bound)
+assert run_pipeline(sys.argv[1], sys.argv[2]) == 0
+model, policy, spec = build_case_study(1, 0.9, 2.0, 10.0)
+cl = closed_loop(model, policy)
+cert = certify(cl, classify_regions(model, 10.0), 10.0, 1)
+rho = reference_reward_average(cl, model, spec, 20_000,
+                               np.random.default_rng(0))
+validate_bound(cl, model, spec, cert, eps=0.5, delta=0.2, trials=20,
+               rho_star=rho)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+    def test_pipeline_and_reference_leave_scipy_stats_unloaded(self, tmp_path):
+        # A cold process pays for scipy.stats and scipy.special only where
+        # they are used: neither is on the golden pipeline, the reference
+        # average or validate_bound.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(GOLDEN_CONFIG),
+             str(tmp_path)], env=env, capture_output=True, text=True,
+            check=True)
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert "scipy.stats" not in loaded
+        assert "scipy.special" not in loaded
