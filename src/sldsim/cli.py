@@ -2,9 +2,11 @@
 
 Subcommands: ``simulate``, ``certify``, ``estimate``, ``bound``,
 ``sweep-dim``, ``sweep-gamma``.  Shared flags (valid after any
-subcommand): ``--config PATH``, ``--seed U64``, ``--out DIR``,
-``--full-scale``.  The output directory defaults to
-``$SLDSIM_OUT`` when set, else ``./sldsim-out``.
+subcommand): ``--config PATH``, ``--seed U64``, ``--out DIR``.  The
+output directory defaults to ``$SLDSIM_OUT`` when set, else
+``./sldsim-out``.  The sweeps also take ``--trials``, ``--eps-stop`` and
+``--full-scale``; they read their file and write their CSVs and
+manifest through :mod:`sldsim.sweep`, as ``run_pipeline`` does.
 
 Exit codes: 0 success, 1 runtime failure inside a computation, 2 bad
 configuration or arguments, 3 certification failure, 4 file I/O failure.
@@ -27,9 +29,6 @@ from .bounds import BoundConstants, bound_terms, required_samples
 from .config import (
     fmt,
     load_model_config,
-    read_json,
-    sha256_of_file,
-    write_manifest,
     write_trajectory_csv,
 )
 from .errors import ConfigError, SldsimError, report_error
@@ -44,11 +43,9 @@ from .regen import (
 )
 from .sweep import (
     SweepConfig,
+    read_sweep_file,
     sweep_config_from_dict,
-    sweep_dimension,
-    sweep_gamma,
-    write_agg_csv,
-    write_raw_csv,
+    write_sweeps,
 )
 
 _SIM_TAG = 0
@@ -60,11 +57,14 @@ def _seed(args: argparse.Namespace) -> int:
     return 0 if args.seed is None else args.seed
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
+def _out_path(args: argparse.Namespace) -> Path:
     if args.out is not None:
-        out = Path(args.out)
-    else:
-        out = Path(os.environ.get("SLDSIM_OUT", "sldsim-out"))
+        return Path(args.out)
+    return Path(os.environ.get("SLDSIM_OUT", "sldsim-out"))
+
+
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = _out_path(args)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -99,11 +99,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_model_config(_require_config(args))
     cl = closed_loop(cfg.model, cfg.policy)
     x0 = _parse_x0(args.x0, cfg.model.n)
-    seed = _seed(args)
     rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(_SIM_TAG,)))
+        np.random.SeedSequence(_seed(args), spawn_key=(_SIM_TAG,)))
     traj = simulate(cl, cfg.model, cfg.reward, x0, args.n_steps, rng,
-                    zero_noise=args.zero_noise, seed_label=seed)
+                    zero_noise=args.zero_noise)
     out = _out_dir(args)
     path = out / "trajectory.csv"
     write_trajectory_csv(traj, path)
@@ -280,42 +279,16 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_config(args: argparse.Namespace) -> SweepConfig:
-    """Precedence: full-scale or desk base, then file fields, then
-    CLI flags."""
-    fields: dict = {}
-    if args.config is not None:
-        data = read_json(args.config)
-        if not isinstance(data, dict):
-            raise ConfigError("sweep config must be a JSON object")
-        if "sweep" not in data and "regions" in data:
-            raise ConfigError(f"{args.config} is a model config, not a "
-                              f"sweep config")
-        fields = data.get("sweep", data)
-        if not isinstance(fields, dict):
-            raise ConfigError("sweep section must be a JSON object")
-
-    base = (SweepConfig.full_scale() if args.full_scale
-            else SweepConfig())
-    merged = dataclasses.asdict(base)
-    merged.update(fields)
-    cfg = sweep_config_from_dict(merged)
-
-    flags = (("trials", args.trials), ("eps_stop", args.eps_stop),
-             ("master_seed", args.seed))
-    return dataclasses.replace(cfg, **{k: v for k, v in flags
-                                       if v is not None})
-
-
 def _print_sweep(result) -> None:
     for cell in result.cells:
         print(f"n={cell.n:5d} gamma={cell.gamma:<5} "
               f"N_avg={cell.n_avg:12.3f} stderr={cell.stderr:10.3f} "
               f"censored={cell.censored_frac:.2%} "
               f"({cell.mean_runtime_s * 1e3:.2f} ms/trial)")
-    for gamma, fit in sorted(result.fits.items()):
-        print(f"fit at gamma={gamma}: slope={fit.slope:.4f} "
-              f"intercept={fit.intercept:.2f} "
+    fit = result.fit
+    if fit is not None:
+        print(f"fit at gamma={result.config.gamma_root}: "
+              f"slope={fit.slope:.4f} intercept={fit.intercept:.2f} "
               f"R^2={fit.r_squared:.4f} over {fit.n_points} points")
     for n, rho in sorted(result.spearman.items()):
         shown = "undefined" if rho is None else f"{rho:.4f}"
@@ -323,20 +296,20 @@ def _print_sweep(result) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace, kind: str) -> int:
-    cfg = _sweep_config(args)
-    result = sweep_dimension(cfg) if kind == "dimension" \
-        else sweep_gamma(cfg)
-    out = _out_dir(args)
-    raw_path = out / f"{kind}_raw.csv"
-    agg_path = out / f"{kind}_agg.csv"
-    write_raw_csv(result, raw_path)
-    write_agg_csv(result, agg_path)
+    """Precedence: full-scale or desk base, then file fields, then
+    CLI flags."""
+    fields = {} if args.config is None else read_sweep_file(args.config)[0]
+    flags = {"trials": args.trials, "eps_stop": args.eps_stop,
+             "master_seed": args.seed}
+    base = SweepConfig.full_scale() if args.full_scale else SweepConfig()
+    cfg = sweep_config_from_dict({
+        **dataclasses.asdict(base), **fields,
+        **{k: v for k, v in flags.items() if v is not None}})
+    out = _out_path(args)
+    (result,) = write_sweeps(cfg, (kind,), out, args.config)
     _print_sweep(result)
-    print(f"wrote {raw_path} and {agg_path}")
-    if args.config is not None:
-        write_manifest(out / "manifest.json",
-                       sha256_of_file(args.config), cfg.master_seed)
-        print(f"wrote {out / 'manifest.json'}")
+    print(f"wrote {out / f'{kind}_raw.csv'}, {kind}_agg.csv and "
+          f"manifest.json")
     return 0
 
 
@@ -379,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR",
                         help="output directory "
                              "(default $SLDSIM_OUT or ./sldsim-out)")
-    common.add_argument("--full-scale", action="store_true",
-                        help="use the multi-day grid and budgets")
 
     parser = _Parser(
         prog="sldsim",
@@ -425,6 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=helptext)
         p.add_argument("--trials", type=_STEPS, default=None)
         p.add_argument("--eps-stop", type=_POSITIVE, default=None)
+        p.add_argument("--full-scale", action="store_true",
+                       help="use the multi-day grid and budgets")
 
     return parser
 

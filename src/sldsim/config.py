@@ -114,7 +114,7 @@ def read_json(path: str | Path):
         raise ConfigError(f"config file not found: {path}")
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -143,11 +143,8 @@ def sha256_of_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def sha256_of_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def write_manifest(path: str | Path, config_hash: str, master_seed: int,
+def write_manifest(path: str | Path, config_hash: str | None,
+                   master_seed: int,
                    extra: dict | None = None) -> None:
     """Record everything needed to reproduce a run's outputs."""
     import scipy

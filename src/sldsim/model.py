@@ -308,7 +308,6 @@ class Trajectory:
 
     states: np.ndarray      # (N, n)
     rewards: np.ndarray     # (N,)
-    seed: int | None
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -385,8 +384,7 @@ def step(cl: ClosedLoop, model: SldsModel, x: np.ndarray,
 
 def simulate(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
              x0: np.ndarray, n_steps: int, rng: np.random.Generator,
-             zero_noise: bool = False,
-             seed_label: int | None = None) -> Trajectory:
+             zero_noise: bool = False) -> Trajectory:
     """Simulate ``n_steps`` states x_0..x_{n_steps-1} from ``x0``.
 
     Noise is drawn in row batches from ``rng``; batched draws consume the
@@ -400,8 +398,7 @@ def simulate(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
         step index); certificate-violating models can overflow doubles.
     """
     states = _path(cl, model, x0, n_steps, rng, zero_noise)
-    return Trajectory(states=states, rewards=rewards_of(states, spec),
-                      seed=seed_label)
+    return Trajectory(states=states, rewards=rewards_of(states, spec))
 
 
 def _path(cl: ClosedLoop, model: SldsModel, x0: np.ndarray, n_steps: int,

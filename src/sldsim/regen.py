@@ -183,12 +183,6 @@ class SplitState:
     theta: int
 
 
-def sample_nu_hat(minor: Minorization,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Draw from the regeneration measure (uniform on the ball ``S``)."""
-    return minor.sample(rng)
-
-
 def split_step(x: np.ndarray, cl: ClosedLoop, model: SldsModel,
                minor: Minorization, beta_op: float,
                rng: np.random.Generator) -> tuple[SplitState, np.ndarray]:
@@ -368,7 +362,6 @@ class EstimatorOutput:
     reward_timeavg: float
     standard_error: float | None
     sigma2_as: float | None
-    ratio_estimates: dict[str, float]
     block_count: int
 
 
@@ -474,7 +467,6 @@ def decompose_sum(log: RegenerationLog, spec: RewardSpec, rho_hat: float,
 
 
 def estimate_all(log: RegenerationLog, spec: RewardSpec,
-                 predicates: dict[str, object] | None = None,
                  rng: np.random.Generator | None = None) -> EstimatorOutput:
     """Bundle the standard estimators for one log (CLI summary payload)."""
     rew = estimate_reward(log, spec, rng=rng)
@@ -482,13 +474,7 @@ def estimate_all(log: RegenerationLog, spec: RewardSpec,
         sigma2 = estimate_sigma2_as(log, spec, rho_hat=rew.value)
     except InsufficientBlocks:
         sigma2 = None
-    ratios: dict[str, float] = {}
-    for name, pred in (predicates or {}).items():
-        try:
-            ratios[name] = estimate_invariant_prob(log, pred)
-        except InsufficientBlocks:
-            continue
     return EstimatorOutput(reward_timeavg=rew.value,
                            standard_error=rew.standard_error,
-                           sigma2_as=sigma2, ratio_estimates=ratios,
+                           sigma2_as=sigma2,
                            block_count=log.block_count)

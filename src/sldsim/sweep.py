@@ -12,7 +12,9 @@ benchmark system that contracts outside a ball of radius ``rho_ball``
 and expands inside it.
 
 Each cell runs its trials together through :func:`sldsim.model.lockstep`;
-a trial's result does not depend on the trials beside it.
+a trial's result does not depend on the trials beside it.  The CLI and
+:func:`run_pipeline` read sweep files with :func:`read_sweep_file` and
+write CSVs and the manifest with :func:`write_sweeps`.
 
 Desk-scale defaults finish in seconds on one core; ``full_scale`` is
 the multi-day configuration and exists to be written into manifests, not
@@ -22,8 +24,8 @@ to be run casually.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
+import numbers
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -72,27 +74,32 @@ class SweepConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ConfigError("dims must be positive integers")
-        if list(self.dims) != sorted(set(self.dims)):
-            raise ConfigError("dims must be strictly increasing")
+        for name in ("dims", "gamma_dims"):
+            values = getattr(self, name)
+            if not (values and all(_is_int(v) and v >= 1 for v in values)
+                    and list(values) == sorted(set(values))):
+                raise ConfigError(
+                    f"{name} must be strictly increasing positive integers")
+        counts = {"trials": self.trials, "max_steps": self.max_steps,
+                  "gamma_trials": (1 if self.gamma_trials is None
+                                   else self.gamma_trials)}
+        for name, value in counts.items():
+            if not (_is_int(value) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1")
+        if not (_is_int(self.master_seed) and self.master_seed >= 0):
+            raise ConfigError("master_seed must be a nonnegative integer")
         # Gains of 1 or more are legal to configure; certification is
         # where they fail, with the right diagnostic.
-        if not self.gammas or any(g <= 0 for g in self.gammas):
-            raise ConfigError("gammas must be positive")
-        if self.gamma_root <= 0:
-            raise ConfigError("gamma_root must be positive")
-        if self.c_root < 0:
-            raise ConfigError("c_root must be nonnegative")
-        if self.rho_ball <= 0:
-            raise ConfigError("rho_ball must be positive")
-        if self.eps_stop <= 0:
-            raise ConfigError("eps_stop must be positive")
-        if self.trials < 1 or (self.gamma_trials is not None
-                               and self.gamma_trials < 1):
-            raise ConfigError("trials must be at least 1")
-        if self.max_steps < 1:
-            raise ConfigError("max_steps must be at least 1")
+        if not (self.gammas
+                and all(_is_finite(g) and g > 0 for g in self.gammas)):
+            raise ConfigError("gammas must be positive and finite")
+        for name, value in (("gamma_root", self.gamma_root),
+                            ("rho_ball", self.rho_ball),
+                            ("eps_stop", self.eps_stop)):
+            if not (_is_finite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite")
+        if not (_is_finite(self.c_root) and self.c_root >= 0):
+            raise ConfigError("c_root must be nonnegative and finite")
 
     @classmethod
     def full_scale(cls, **overrides) -> "SweepConfig":
@@ -108,21 +115,60 @@ class SweepConfig:
         return cls(**base)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SweepConfig)}
+_GRIDS = ("dims", "gammas", "gamma_dims")
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown sweep config keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key in ("dims", "gammas", "gamma_dims"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    try:
-        return SweepConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid sweep config: {exc}") from exc
+    for key in _GRIDS:
+        if key in data and not isinstance(data[key], (list, tuple)):
+            raise ConfigError(f"{key} must be a list")
+    return SweepConfig(**{key: tuple(value) if key in _GRIDS else value
+                          for key, value in data.items()})
+
+
+_KINDS = ("dimension", "gamma")
+
+
+def read_sweep_file(path: str | Path) -> tuple[dict, tuple[str, ...]]:
+    """The ``SweepConfig`` fields and the sweep kinds of a sweep file.
+
+    The file holds ``{"sweep": {...fields...}, "run": [...kinds...]}``,
+    both keys optional, or a flat object of fields, which runs both
+    kinds.  Kinds come back in the order ``dimension``, ``gamma``."""
+    from .config import read_json
+
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    if "regions" in data:
+        raise ConfigError(f"{path} is a model config, not a sweep config")
+    if {"sweep", "run"} & set(data):
+        unknown = set(data) - {"sweep", "run"}
+        if unknown:
+            raise ConfigError(
+                f"unknown pipeline config keys: {sorted(unknown)}")
+        data, run = data.get("sweep", {}), data.get("run", _KINDS)
+    else:
+        run = _KINDS
+    if not isinstance(data, dict):
+        raise ConfigError("sweep section must be a JSON object")
+    if not isinstance(run, (list, tuple)) or any(k not in _KINDS
+                                                 for k in run):
+        raise ConfigError(f"run must list sweep kinds out of {list(_KINDS)}")
+    return data, tuple(k for k in _KINDS if k in run)
 
 
 def build_case_study(n: int, gamma_root: float, c_root: float,
@@ -262,7 +308,7 @@ class SweepResult:
     config: SweepConfig
     raw: tuple[RawTrial, ...]
     cells: tuple[CellSummary, ...]
-    fits: dict[float, LinearFit]
+    fit: LinearFit | None
     spearman: dict[int, float | None]
 
 
@@ -278,14 +324,18 @@ def trial_seed_sequence(master_seed: int, tag: int, n: int, gamma: float,
         master_seed, spawn_key=(tag, n, round(gamma * 1e6), trial))
 
 
-def _run_cell(model: SldsModel, cl: ClosedLoop, spec: RewardSpec,
-              cfg: SweepConfig, tag: int, n: int, gamma: float,
+def _run_cell(cfg: SweepConfig, tag: int, n: int, gamma: float,
               trials: int) -> tuple[list[RawTrial], CellSummary]:
-    """Run a cell's trials through one lockstep kernel call.
+    """Build and certify one case study, then run its trials through one
+    lockstep kernel call.
 
     Trial t draws only from its ``trial_seed_sequence`` stream, so its row
     depends on the master seed and its grid values, not on how many
     trials share its lockstep group."""
+    model, policy, spec = build_case_study(n, gamma, cfg.c_root,
+                                           cfg.rho_ball)
+    cl = closed_loop(model, policy)
+    certify(cl, classify_regions(model, cfg.rho_ball), cfg.rho_ball, n)
     seqs = [trial_seed_sequence(cfg.master_seed, tag, n, gamma, trial)
             for trial in range(trials)]
     t0 = time.perf_counter()
@@ -336,65 +386,44 @@ def _fit_upper_half(points: list[tuple[int, float]]) -> LinearFit | None:
                      r_squared=r2, n_points=int(xs.size))
 
 
-def _certify_cells(cells: list[tuple[int, float]], c_root: float,
-                   rho_ball: float) -> None:
-    """Refuse to run a sweep over any uncertifiable cell."""
-    for n, gamma_root in cells:
-        model, policy, _ = build_case_study(n, gamma_root, c_root,
-                                            rho_ball)
-        cl = closed_loop(model, policy)
-        cls = classify_regions(model, rho_ball)
-        certify(cl, cls, rho_ball, n)
+def _run_grid(cfg: SweepConfig, tag: int, grid: list[tuple[int, float]],
+              trials: int) -> tuple[tuple[RawTrial, ...],
+                                    tuple[CellSummary, ...]]:
+    """Run the ``(n, gamma)`` cells in grid order, one case study at a
+    time; an uncertifiable cell raises :class:`NotCertifiable`."""
+    runs = [_run_cell(cfg, tag, n, gamma, trials) for n, gamma in grid]
+    return (tuple(r for raws, _ in runs for r in raws),
+            tuple(cell for _, cell in runs))
 
 
 def sweep_dimension(cfg: SweepConfig) -> SweepResult:
     """Mean pseudo sample count across ``cfg.dims`` at fixed
     ``cfg.gamma_root``, with a linear fit over the upper half of the
     dimension grid."""
-    _certify_cells([(n, cfg.gamma_root) for n in cfg.dims],
-                   cfg.c_root, cfg.rho_ball)
-    raw: list[RawTrial] = []
-    cells: list[CellSummary] = []
-    for n in cfg.dims:
-        model, policy, spec = build_case_study(
-            n, cfg.gamma_root, cfg.c_root, cfg.rho_ball)
-        cl = closed_loop(model, policy)
-        raws, cell = _run_cell(model, cl, spec, cfg, _DIM_TAG, n,
-                               cfg.gamma_root, cfg.trials)
-        raw.extend(raws)
-        cells.append(cell)
-    fit = _fit_upper_half([(c.n, c.n_avg) for c in cells])
-    fits = {cfg.gamma_root: fit} if fit is not None else {}
-    return SweepResult(kind="dimension", config=cfg, raw=tuple(raw),
-                       cells=tuple(cells), fits=fits, spearman={})
+    raw, cells = _run_grid(cfg, _DIM_TAG,
+                           [(n, cfg.gamma_root) for n in cfg.dims],
+                           cfg.trials)
+    return SweepResult(kind="dimension", config=cfg, raw=raw, cells=cells,
+                       fit=_fit_upper_half([(c.n, c.n_avg) for c in cells]),
+                       spearman={})
 
 
 def sweep_gamma(cfg: SweepConfig) -> SweepResult:
     """Mean pseudo sample count across ``cfg.gammas`` at each dimension
-    in ``cfg.gamma_dims``, with a rank correlation per dimension.
+    in ``cfg.gamma_dims``, with a rank correlation per dimension and no
+    fitted line."""
+    raw, cells = _run_grid(cfg, _GAMMA_TAG,
+                           [(n, g) for n in cfg.gamma_dims
+                            for g in cfg.gammas],
+                           cfg.gamma_trials or cfg.trials)
+    spearman = {n: _spearman(cfg.gammas,
+                             [c.n_avg for c in cells if c.n == n])
+                for n in cfg.gamma_dims}
+    return SweepResult(kind="gamma", config=cfg, raw=raw, cells=cells,
+                       fit=None, spearman=spearman)
 
-    ``fits`` is empty: the result keeps the dimension sweep's shape, but
-    no line is fitted across the few dimensions of a gain sweep."""
-    trials = cfg.gamma_trials or cfg.trials
-    _certify_cells([(n, g) for n in cfg.gamma_dims for g in cfg.gammas],
-                   cfg.c_root, cfg.rho_ball)
-    raw: list[RawTrial] = []
-    cells: list[CellSummary] = []
-    spearman: dict[int, float | None] = {}
-    for n in cfg.gamma_dims:
-        per_gamma: list[float] = []
-        for gamma in cfg.gammas:
-            model, policy, spec = build_case_study(
-                n, gamma, cfg.c_root, cfg.rho_ball)
-            cl = closed_loop(model, policy)
-            raws, cell = _run_cell(model, cl, spec, cfg, _GAMMA_TAG, n,
-                                   gamma, trials)
-            raw.extend(raws)
-            cells.append(cell)
-            per_gamma.append(cell.n_avg)
-        spearman[n] = _spearman(cfg.gammas, per_gamma)
-    return SweepResult(kind="gamma", config=cfg, raw=tuple(raw),
-                       cells=tuple(cells), fits={}, spearman=spearman)
+
+_SWEEPS = {"dimension": sweep_dimension, "gamma": sweep_gamma}
 
 
 def _spearman(x, y) -> float | None:
@@ -434,64 +463,54 @@ def write_agg_csv(result: SweepResult, path: str | Path) -> None:
 
 
 def _result_manifest_block(result: SweepResult) -> dict:
-    block: dict = {"kind": result.kind}
-    block["fits"] = {
-        repr(g): {"slope": f.slope, "intercept": f.intercept,
-                  "r_squared": f.r_squared, "n_points": f.n_points}
-        for g, f in sorted(result.fits.items())}
-    block["spearman"] = {str(n): result.spearman[n]
-                         for n in sorted(result.spearman)}
-    return block
+    return {"kind": result.kind,
+            "fit": (None if result.fit is None
+                    else dataclasses.asdict(result.fit)),
+            "spearman": {str(n): result.spearman[n]
+                         for n in sorted(result.spearman)}}
+
+
+def write_sweeps(cfg: SweepConfig, kinds: tuple[str, ...],
+                 out_dir: str | Path,
+                 config_path: str | Path | None = None) -> list[SweepResult]:
+    """Run the sweeps ``kinds`` and write ``{kind}_raw.csv`` and
+    ``{kind}_agg.csv`` for each, and one ``manifest.json``, into
+    ``out_dir``.
+
+    The manifest holds the resolved ``cfg``, one block per result and the
+    sha256 of ``config_path`` (null without a file).  Outputs carry no
+    wall-clock data, so reruns with the same config and environment are
+    byte-identical.  Every sweep runs before the first file is written,
+    so a failing cell leaves no output."""
+    from .config import sha256_of_file, write_manifest
+
+    config_hash = (None if config_path is None
+                   else sha256_of_file(config_path))
+    results = [_SWEEPS[kind](cfg) for kind in kinds]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for result in results:
+        write_raw_csv(result, out / f"{result.kind}_raw.csv")
+        write_agg_csv(result, out / f"{result.kind}_agg.csv")
+    write_manifest(out / "manifest.json", config_hash, cfg.master_seed,
+                   extra={"sweep_config": dataclasses.asdict(cfg),
+                          "results": [_result_manifest_block(r)
+                                      for r in results]})
+    return results
 
 
 def run_pipeline(config_path: str | Path, out_dir: str | Path) -> int:
-    """Run the sweeps named in a pipeline config and write CSVs plus a
-    manifest into ``out_dir``.
+    """Run the sweeps named in a sweep file (:func:`read_sweep_file`) and
+    write CSVs plus a manifest into ``out_dir`` (:func:`write_sweeps`).
 
-    Config JSON: ``{"sweep": {...SweepConfig fields...},
-    "run": ["dimension", "gamma"]}``; both keys optional.  Outputs carry
-    no wall-clock data, so reruns with the same config and environment
-    are byte-identical.  Returns a process exit code, as the CLI does: 0
-    on success, 1 on a failure inside a computation, 2 on a config
-    problem, 3 when certification fails, 4 on an I/O failure.
+    Returns a process exit code, as the CLI does: 0 on success, 1 on a
+    failure inside a computation, 2 on a missing or malformed config, 3
+    when certification fails, 4 on an I/O failure.
     """
     try:
-        _run_pipeline(Path(config_path), Path(out_dir))
+        fields, kinds = read_sweep_file(config_path)
+        write_sweeps(sweep_config_from_dict(fields), kinds, out_dir,
+                     config_path)
     except (SldsimError, OSError) as exc:
         return report_error(exc)
     return 0
-
-
-def _run_pipeline(config_path: Path, out: Path) -> None:
-    from .config import sha256_of_text, write_manifest
-
-    text = config_path.read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"pipeline config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("pipeline config must be a JSON object")
-    unknown = set(data) - {"sweep", "run"}
-    if unknown:
-        raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
-    cfg = sweep_config_from_dict(data.get("sweep", {}))
-    run = data.get("run", ["dimension", "gamma"])
-    bad = set(run) - {"dimension", "gamma"}
-    if bad:
-        raise ConfigError(f"unknown sweep kinds: {sorted(bad)}")
-
-    out.mkdir(parents=True, exist_ok=True)
-    blocks = []
-    if "dimension" in run:
-        result = sweep_dimension(cfg)
-        write_raw_csv(result, out / "dimension_raw.csv")
-        write_agg_csv(result, out / "dimension_agg.csv")
-        blocks.append(_result_manifest_block(result))
-    if "gamma" in run:
-        result = sweep_gamma(cfg)
-        write_raw_csv(result, out / "gamma_raw.csv")
-        write_agg_csv(result, out / "gamma_agg.csv")
-        blocks.append(_result_manifest_block(result))
-    write_manifest(out / "manifest.json", sha256_of_text(text),
-                   cfg.master_seed, extra={"results": blocks})

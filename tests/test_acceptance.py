@@ -263,7 +263,7 @@ def test_07_dimension_sweep_linear_fit() -> None:
                          _exterior_density(cfg.gamma_root))
     upper = sorted(fine.cells, key=lambda c: c.n)[len(fine.cells) // 2:]
     ratios = [c.n_avg / law for c in upper]
-    fit = res.fits.get(cfg.gamma_root)
+    fit = res.fit
     r2 = fit.r_squared if fit is not None else math.nan
     n_slope = fit.slope if fit is not None else math.nan
     ok = (_in_range(slope, SLOPE_RANGE)

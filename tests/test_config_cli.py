@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from sldsim import (
     model_config_from_dict,
     model_config_to_dict,
     polyhedron,
+    run_pipeline,
     save_model_config,
     write_manifest,
     write_trajectory_csv,
 )
-from sldsim.config import fmt, sha256_of_file, sha256_of_text
+from sldsim.config import fmt, sha256_of_file
 import sldsim.cli as cli
 from sldsim.cli import main
 from sldsim.errors import DivergenceError, NotCertifiable, report_error
@@ -162,7 +164,7 @@ class TestModelConfigRoundTrip:
 class TestCsvAndManifest:
     def test_trajectory_csv_exact_text(self, tmp_path):
         traj = Trajectory(states=np.array([[1.0], [2.5]]),
-                          rewards=np.array([1.0, 2.5]), seed=0)
+                          rewards=np.array([1.0, 2.5]))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         assert path.read_text() == (
@@ -170,14 +172,16 @@ class TestCsvAndManifest:
 
     def test_trajectory_csv_multicolumn_header(self, tmp_path):
         traj = Trajectory(states=np.zeros((1, 3)),
-                          rewards=np.zeros(1), seed=None)
+                          rewards=np.zeros(1))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         assert path.read_text().splitlines()[0] == (
             "step,x_0,x_1,x_2,reward")
 
     def test_hashes(self, tmp_path):
-        assert sha256_of_text("") == (
+        p = tmp_path / "empty"
+        p.write_bytes(b"")
+        assert sha256_of_file(p) == (
             "e3b0c44298fc1c149afbf4c8996fb924"
             "27ae41e4649b934ca495991b7852b855")
         p = tmp_path / "blob"
@@ -517,6 +521,77 @@ class TestCliSweeps:
         err = capsys.readouterr().err
         assert "is a model config" in err and err.count("\n") == 1
 
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["sweep-dim", "--config", str(tmp_path / "absent.json"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param({"gamma_dims": [0]}, id="gamma_dims-zero"),
+        pytest.param({"gamma_dims": [10, 10]}, id="gamma_dims-repeated"),
+        pytest.param({"dims": [1.5]}, id="dims-float"),
+        pytest.param({"dims": 5}, id="dims-not-a-list"),
+        pytest.param({"trials": 1.5}, id="trials-float"),
+        pytest.param({"max_steps": 0}, id="max_steps-zero"),
+        pytest.param({"gammas": [0.5, math.inf]}, id="gammas-infinite"),
+        pytest.param({"eps_stop": math.nan}, id="eps_stop-nan"),
+        pytest.param({"master_seed": -1}, id="master_seed-negative"),
+    ])
+    @pytest.mark.parametrize("entry", ["run_pipeline", "sweep-gamma"])
+    def test_bad_sweep_input_exits_2_with_one_line(self, entry, fields,
+                                                   tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"sweep": fields}))
+        out = tmp_path / "o"
+        rc = (run_pipeline(p, out) if entry == "run_pipeline"
+              else main([entry, "--config", str(p), "--out", str(out)]))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_golden_file_matches_run_pipeline(self, tmp_path):
+        # Both entry points resolve the same config and write the same
+        # dimension CSVs, config and result block.
+        golden = Path(__file__).parent / "data" / "golden_pipeline.json"
+        assert run_pipeline(golden, tmp_path / "pipe") == 0
+        assert main(["sweep-dim", "--config", str(golden),
+                     "--out", str(tmp_path / "cli")]) == 0
+        for name in ("dimension_raw.csv", "dimension_agg.csv"):
+            assert (tmp_path / "pipe" / name).read_bytes() == (
+                tmp_path / "cli" / name).read_bytes()
+        pipe, got = (json.loads((tmp_path / d / "manifest.json").read_text())
+                     for d in ("pipe", "cli"))
+        assert got["sweep_config"] == pipe["sweep_config"]
+        assert got["config_sha256"] == pipe["config_sha256"]
+        assert got["results"] == pipe["results"][:1]
+        assert got["results"][0]["kind"] == "dimension"
+
+    def test_flags_are_in_the_manifest(self, tmp_path):
+        cfg = self.write_cfg(tmp_path)
+        manifests = []
+        for trials in ("1", "2"):
+            out = tmp_path / trials
+            assert main(["sweep-dim", "--config", cfg, "--out", str(out),
+                         "--trials", trials]) == 0
+            manifests.append((out / "manifest.json").read_text())
+        assert manifests[0] != manifests[1]
+        assert [json.loads(m)["sweep_config"]["trials"]
+                for m in manifests] == [1, 2]
+
+    def test_manifest_without_config(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep-gamma", "--out", str(out), "--trials", "1",
+                     "--eps-stop", "0.01"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] is None
+        assert manifest["sweep_config"]["trials"] == 1
+        assert manifest["sweep_config"]["gamma_dims"] == [10, 50]
+        assert [b["kind"] for b in manifest["results"]] == ["gamma"]
+        assert manifest["results"][0]["fit"] is None
+
 
 class TestCliParser:
     @pytest.mark.parametrize("argv", [
@@ -530,6 +605,7 @@ class TestCliParser:
         ["bound", "--x0-norm-sq", "nan"],
         ["sweep-dim", "--trials", "0"],
         ["sweep-gamma", "--eps-stop", "-1e-3"],
+        ["bound", "--full-scale"],
         ["simulate", "--n-steps", "many"],
     ])
     def test_bad_flag_exits_2_with_one_line(self, argv, tmp_path, capsys):

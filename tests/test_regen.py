@@ -29,7 +29,6 @@ from sldsim import (
     operational_minorization,
     radial_shell,
     rewards_of,
-    sample_nu_hat,
     simulate,
     simulate_regenerative,
     split_step,
@@ -151,10 +150,10 @@ class TestSampleNuHat:
         # The certified pair and the operational pair.
         sys = build_system(1)
         rng = np.random.default_rng(2)
-        x = sample_nu_hat(Minorization.from_certificate(sys.cert), rng)
+        x = Minorization.from_certificate(sys.cert).sample(rng)
         assert abs(x[0]) <= sys.cert.s_radius
         op = operational_minorization(sys.cert)
-        y = sample_nu_hat(op, rng)
+        y = op.sample(rng)
         assert abs(y[0]) <= op.s_radius
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -103,6 +104,19 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(max_steps=0)
 
+    @pytest.mark.parametrize("fields", [
+        dict(gamma_dims=(0,)), dict(gamma_dims=(10, 10)),
+        dict(gamma_dims=()), dict(dims=(1.5,)), dict(dims=(True, 2)),
+        dict(trials=1.5), dict(gamma_trials=2.0), dict(max_steps=True),
+        dict(gammas=(0.5, math.inf)), dict(gammas=("0.5",)),
+        dict(eps_stop=math.nan), dict(eps_stop=math.inf),
+        dict(gamma_root=math.inf), dict(c_root=math.nan),
+        dict(rho_ball="10"), dict(master_seed=-1), dict(master_seed=0.5),
+    ])
+    def test_types_and_ranges(self, fields):
+        with pytest.raises(ConfigError):
+            SweepConfig(**fields)
+
     def test_expanding_gains_are_configurable(self):
         # Certification owns the failure diagnostic, not the config.
         assert SweepConfig(gamma_root=1.2).gamma_root == 1.2
@@ -126,6 +140,8 @@ class TestSweepConfig:
             sweep_config_from_dict({"bogus": 3})
         with pytest.raises(ConfigError):
             sweep_config_from_dict({"trials": "ten"})
+        with pytest.raises(ConfigError, match="dims must be a list"):
+            sweep_config_from_dict({"dims": 5})
 
 
 class TestBuildCaseStudy:
@@ -689,7 +705,7 @@ class TestSweeps:
         assert [c.n for c in res.cells] == [1, 2]
         assert all(c.censored_frac == 0.0 for c in res.cells)
         # Two dims leave one upper-half point: no fit.
-        assert res.fits == {}
+        assert res.fit is None
         assert res.spearman == {}
 
     def test_gamma_sweep_shape(self):
@@ -701,7 +717,7 @@ class TestSweeps:
         assert [(c.n, c.gamma) for c in res.cells] == [(1, 0.5), (1, 0.9)]
         assert set(res.spearman) == {1}
         assert abs(res.spearman[1]) == pytest.approx(1.0)
-        assert res.fits == {}  # the gain sweep fits no line
+        assert res.fit is None  # the gain sweep fits no line
 
     def test_single_gamma_has_no_rank_statistic(self):
         cfg = SweepConfig(gammas=(0.7,), gamma_dims=(1,), trials=2,
@@ -787,6 +803,29 @@ class TestRunPipeline:
         assert kinds == ["dimension", "gamma"]
         assert manifest["results"][1]["spearman"] == {"1": None}
 
+    def test_manifest_holds_resolved_config(self, tmp_path):
+        cfg = self.write(tmp_path, self.GOOD)
+        assert run_pipeline(cfg, tmp_path / "out") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        resolved = sweep_config_from_dict(self.GOOD["sweep"])
+        assert manifest["sweep_config"] == json.loads(
+            json.dumps(dataclasses.asdict(resolved)))
+        assert manifest["config_sha256"] == hashlib.sha256(
+            Path(cfg).read_bytes()).hexdigest()
+        # Two dims leave no fitted line; the gain sweep never has one.
+        assert [b["fit"] for b in manifest["results"]] == [None, None]
+
+    def test_flat_config_runs_both_kinds(self, tmp_path):
+        wrapped = self.write(tmp_path, self.GOOD)
+        assert run_pipeline(wrapped, tmp_path / "a") == 0
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps(self.GOOD["sweep"]))
+        assert run_pipeline(flat, tmp_path / "b") == 0
+        for name in ("dimension_raw.csv", "dimension_agg.csv",
+                     "gamma_raw.csv", "gamma_agg.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name).read_bytes()
+
     def test_rerun_outputs_are_byte_identical(self, tmp_path):
         cfg = self.write(tmp_path, self.GOOD)
         out_a = tmp_path / "a"
@@ -818,16 +857,26 @@ class TestRunPipeline:
         assert run_pipeline(bad_field, tmp_path / "o4") == 2
         removed_field = self.write(tmp_path, {"sweep": {"threads": 2}})
         assert run_pipeline(removed_field, tmp_path / "o5") == 2
+        # ConfigError covers a missing config file as well.
+        assert run_pipeline(tmp_path / "missing.json", tmp_path / "o6") == 2
+        assert not (tmp_path / "o6").exists()
+        not_text = tmp_path / "binary.json"
+        not_text.write_bytes(b"\xff\xfe{}")
+        assert run_pipeline(not_text, tmp_path / "o7") == 2
 
     def test_uncertifiable_exits_3(self, tmp_path):
         cfg = self.write(tmp_path, {
             "sweep": {"dims": [1], "gamma_root": 1.5, "trials": 1},
             "run": ["dimension"]})
         assert run_pipeline(cfg, tmp_path / "out") == 3
+        # A later uncertifiable cell fails the run before any file is
+        # written, including the CSVs of a sweep that did finish.
+        cfg = self.write(tmp_path, {"dims": [1], "gammas": [0.5, 1.5],
+                                    "gamma_dims": [1], "trials": 1})
+        assert run_pipeline(cfg, tmp_path / "out") == 3
+        assert not (tmp_path / "out").exists()
 
     def test_io_failures_exit_4(self, tmp_path):
-        assert run_pipeline(tmp_path / "missing.json",
-                            tmp_path / "out") == 4
         cfg = self.write(tmp_path, self.GOOD)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
