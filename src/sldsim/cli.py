@@ -29,14 +29,14 @@ from .bounds import BoundConstants, bound_terms, required_samples
 from .config import (
     fmt,
     load_model_config,
+    read_json,
     write_trajectory_csv,
 )
 from .errors import ConfigError, SldsimError, report_error
 from .ergodicity import certify, classify_regions, drift_check, sample_in_ball
-from .model import closed_loop, rewards_of, simulate
+from .model import closed_loop, simulate
 from .regen import (
     Minorization,
-    _block_sums,
     estimate_all,
     operational_minorization,
     simulate_regenerative,
@@ -172,30 +172,25 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         minor = Minorization.from_certificate(cert)
     else:
         minor = operational_minorization(cert, radius=args.op_radius)
-    beta_op = math.exp(minor.log_beta)
-    if beta_op == 0.0:
+    if minor.beta() == 0.0:
         raise ConfigError(f"the {args.beta_mode} minorization constant "
                           f"exp({minor.log_beta:.6g}) underflows to 0")
     rng = np.random.default_rng(
         np.random.SeedSequence(_seed(args), spawn_key=(_ESTIMATE_TAG,)))
-    given = args.x0 is not None
-    log = simulate_regenerative(
-        cl, cfg.model, minor, beta_op, args.n_steps, rng,
-        x0_mode="given" if given else "nu_hat",
-        x0=_parse_x0(args.x0, cfg.model.n) if given else None)
+    x0 = None if args.x0 is None else _parse_x0(args.x0, cfg.model.n)
+    log = simulate_regenerative(cl, cfg.model, minor, args.n_steps, rng,
+                                x0=x0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        output = estimate_all(log, cfg.reward)
+        est = estimate_all(log, cfg.reward)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
     out = _out_dir(args)
     blocks_path = out / "blocks.csv"
     lines = ["m,tau_m,T_m,block_reward_sum"]
-    if log.blocks:
-        sums = _block_sums(log, rewards_of(log.states, cfg.reward))
-        for m, (lo, hi) in enumerate(log.blocks, start=1):
-            lines.append(f"{m},{lo},{hi - lo},{fmt(sums[m - 1])}")
+    lines += [f"{m},{lo},{hi - lo},{fmt(total)}" for m, ((lo, hi), total)
+              in enumerate(zip(log.blocks, est.block_sums), start=1)]
     blocks_path.write_text("\n".join(lines) + "\n")
 
     summary = {
@@ -204,17 +199,17 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "regenerations": len(log.taus),
         "blocks": log.block_count,
         "overshoot": log.overshoot,
-        "reward_timeavg": output.reward_timeavg,
-        "standard_error": output.standard_error,
-        "sigma2_as": output.sigma2_as,
+        "reward_timeavg": est.value,
+        "standard_error": est.standard_error,
+        "sigma2_as": est.sigma2_as,
         "beta_mode": args.beta_mode,
         "log_beta": minor.log_beta,
     }
     summary_path = out / "estimate.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
 
-    print(f"time-averaged reward {output.reward_timeavg!r}")
-    se = output.standard_error
+    print(f"time-averaged reward {est.value!r}")
+    se = est.standard_error
     print("standard error       "
           + ("n/a" if se is None else repr(se)))
     print(f"regenerations        {len(log.taus)} "
@@ -226,11 +221,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _load_constants(path: str | None) -> BoundConstants:
     if path is None:
         return BoundConstants()
+    data = read_json(path)
+    if not isinstance(data, dict) or any(isinstance(v, bool)
+                                         for v in data.values()):
+        raise ConfigError("bad constants file: expected an object of numbers")
     try:
-        data = json.loads(Path(path).read_text())
         return BoundConstants(**data)
-    except (OSError, json.JSONDecodeError, TypeError,
-            ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad constants file: {exc}") from exc
 
 

@@ -40,19 +40,43 @@ class ModelConfig:
     rho_ball: float
 
 
+_MODEL_KEYS = {"n", "p", "regions", "A", "B", "pi", "Q", "R", "rho",
+               "normalize_reward"}
+_REGION_KEYS = {"radial": {"kind", "r_lo", "r_hi", "declared_unbounded"},
+                "polyhedral": {"kind", "L", "C", "declared_unbounded"}}
+
+
+def _typed(value, kinds: tuple, what: str, rule: str):
+    """``value`` if it is one of ``kinds`` (a bool counts as no int)."""
+    if isinstance(value, kinds) and (bool in kinds
+                                     or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{what} must be {rule}, got {value!r:.40}")
+
+
+def _known(d: dict, keys: set, where: str) -> None:
+    if set(d) - keys:
+        raise ConfigError(f"{where}: unknown keys {sorted(set(d) - keys)}")
+
+
 def _region_from_dict(d: dict, index: int) -> Region:
-    kind = d.get("kind")
+    where = f"region {index}"
+    kind = _typed(d, (dict,), where, "an object").get("kind")
+    if kind not in _REGION_KEYS:
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    _known(d, _REGION_KEYS[kind], where)
+    flag = f"{where} declared_unbounded"
     if kind == "radial":
         r_hi = d.get("r_hi")
         return Region(kind="radial", r_lo=float(d.get("r_lo", 0.0)),
                       r_hi=math.inf if r_hi is None else float(r_hi),
-                      declared_unbounded=d.get("declared_unbounded"))
-    if kind == "polyhedral":
-        return Region(kind="polyhedral",
-                      L=np.asarray(d["L"], dtype=float),
-                      C=np.asarray(d["C"], dtype=float),
-                      declared_unbounded=bool(d["declared_unbounded"]))
-    raise ConfigError(f"region {index}: unknown kind {kind!r}")
+                      declared_unbounded=_typed(
+                          d.get("declared_unbounded"), (bool, type(None)),
+                          flag, "true, false or null"))
+    return Region(kind="polyhedral", L=np.asarray(d["L"], dtype=float),
+                  C=np.asarray(d["C"], dtype=float),
+                  declared_unbounded=_typed(d["declared_unbounded"], (bool,),
+                                            flag, "true or false"))
 
 
 def _region_to_dict(region: Region) -> dict:
@@ -80,9 +104,12 @@ def model_config_to_dict(cfg: ModelConfig) -> dict:
 
 
 def model_config_from_dict(data: dict) -> ModelConfig:
+    """A model config; a mistyped, malformed or unknown field raises."""
+    _known(_typed(data, (dict,), "a model config", "a JSON object"),
+           _MODEL_KEYS, "model config")
     try:
-        n = int(data["n"])
-        p = int(data["p"])
+        n = _typed(data["n"], (int,), "n", "an integer")
+        p = _typed(data["p"], (int,), "p", "an integer")
         regions = tuple(_region_from_dict(r, i)
                         for i, r in enumerate(data["regions"]))
         dynamics = tuple(
@@ -94,14 +121,15 @@ def model_config_from_dict(data: dict) -> ModelConfig:
             Q=np.asarray(data["Q"], dtype=float),
             R=np.asarray(data["R"], dtype=float),
             policy=policy,
-            normalize=bool(data.get("normalize_reward", False)))
-        rho = float(data["rho"])
+            normalize=_typed(data.get("normalize_reward", False), (bool,),
+                             "normalize_reward", "true or false"))
+        rho = float(_typed(data["rho"], (int, float), "rho", "a number"))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model config: {exc}") from exc
-    if rho <= 0:
-        raise ConfigError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ConfigError(f"rho must be positive and finite, got {rho!r}")
     return ModelConfig(model=model, policy=policy, reward=reward,
                        rho_ball=rho)
 

@@ -155,8 +155,7 @@ def classify_regions(model: SldsModel, rho_ball: float,
         raise ValueError("rho_ball must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((n_directions, model.n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = None     # drawn at the first polyhedral region
     near = rho_ball * (1.0 + 1e-9) + 1e-9
     far = max(1e6, 1e3 * rho_ball)
 
@@ -173,6 +172,9 @@ def classify_regions(model: SldsModel, rho_ball: float,
                        f"{'reaches' if reaches else 'does not reach'} "
                        f"outside radius {rho_ball}")
         else:
+            if dirs is None:
+                dirs = rng.standard_normal((n_directions, model.n))
+                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             hit = any(region.contains(near * u) or region.contains(far * u)
                       for u in dirs)
             declared = bool(region.declared_unbounded)
@@ -206,7 +208,12 @@ def certify(cl: ClosedLoop, classification: RegionClassification,
     ------
     NotCertifiable
         Some region reaching outside the ball has spectral norm >= 1.
+    ValueError
+        ``n`` is not the closed loop's dimension.
     """
+    if n != cl.ahat[0].shape[0]:
+        raise ValueError(f"n = {n} but the closed loop has dimension "
+                         f"{cl.ahat[0].shape[0]}")
     sq = [x * x for x in cl.ahat_norms]
     gamma = -1.0
     worst = -1

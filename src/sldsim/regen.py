@@ -17,6 +17,7 @@ a much larger (still valid) constant. Both pairs are plain
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,6 +43,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 # States :func:`simulate_regenerative` adds per chunk past the horizon.
 _EXTENSION_CHUNK = 1024
+
+# Block resamples behind :func:`estimate_reward`'s standard error.
+_N_BOOTSTRAP = 200
 
 
 @dataclass(frozen=True)
@@ -175,48 +179,36 @@ def _log_ratios(cl: ClosedLoop, model: SldsModel, minor: Minorization,
     return out
 
 
-@dataclass(frozen=True)
-class SplitState:
-    """A state annotated with the regeneration bit of its outgoing step."""
-
-    x: np.ndarray
-    theta: int
-
-
 def split_step(x: np.ndarray, cl: ClosedLoop, model: SldsModel,
                minor: Minorization, beta_op: float,
-               rng: np.random.Generator) -> tuple[SplitState, np.ndarray]:
-    """One split-chain transition: a plain step, then the regeneration bit
-    of that pair (the one-step case of :func:`simulate_regenerative`)."""
-    log_beta_op = _log_beta_op(minor, beta_op)
+               rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """One split-chain transition with constant ``beta_op``: a plain step
+    to ``y``, then the regeneration bit ``theta`` of that pair (the
+    one-step case of :func:`simulate_regenerative`).  Returns
+    ``(theta, y)``."""
+    if not (0.0 < beta_op <= 1.0
+            and math.log(beta_op) <= minor.log_beta + 1e-12):
+        raise ValueError(f"beta_op = {beta_op!r} must lie in (0, 1] and not "
+                         f"exceed exp({minor.log_beta!r})")
     y = step(cl, model, x, rng)
-    bit = _split_bits(cl, model, minor, log_beta_op, np.stack([x, y]), rng)
-    return SplitState(x=x, theta=int(bit[0])), y
-
-
-def _log_beta_op(minor: Minorization, beta_op: float) -> float:
-    if not (0.0 < beta_op <= 1.0):
-        raise ValueError("beta_op must lie in (0, 1]")
-    if math.log(beta_op) > minor.log_beta + 1e-12:
-        raise ValueError(
-            f"beta_op = {beta_op!r} exceeds the certified minorization "
-            f"constant exp({minor.log_beta!r})")
-    return math.log(beta_op)
+    bit = _split_bits(cl, model, minor, math.log(beta_op), np.stack([x, y]),
+                      rng)
+    return int(bit[0]), y
 
 
 def _split_bits(cl: ClosedLoop, model: SldsModel, minor: Minorization,
-                log_beta_op: float, path: np.ndarray,
+                log_beta: float, path: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Regeneration bits of the pairs ``(path[t], path[t + 1])`` of a plain
     chain, drawn after the fact (Mykland, Tierney & Yu, JASA 1995): for
-    ``x_t`` in ``S``, Bernoulli(``beta_op q(x_{t+1}) / p(x_{t+1} | x_t)``)
+    ``x_t`` in ``S``, Bernoulli(``beta q(x_{t+1}) / p(x_{t+1} | x_t)``)
     with one uniform per pair, else 0.  The chain with these bits has the
     split chain's joint law."""
     x, y = path[:-1], path[1:]
     bits = np.zeros(len(x), dtype=np.uint8)
     inside = np.flatnonzero(minor.contains(x))
     if inside.size:
-        log_ratio = _log_ratios(cl, model, minor, log_beta_op, x[inside],
+        log_ratio = _log_ratios(cl, model, minor, log_beta, x[inside],
                                 y[inside])
         bits[inside] = rng.random(inside.size) < np.exp(log_ratio)
     return bits
@@ -224,38 +216,27 @@ def _split_bits(cl: ClosedLoop, model: SldsModel, minor: Minorization,
 
 @dataclass(frozen=True)
 class RegenerationLog:
-    """A split-chain trajectory with its regeneration bookkeeping.
+    """A split-chain trajectory and its regeneration times.
 
-    ``horizon`` is the nominal estimation horizon N. The stored trajectory
-    runs through the first regeneration time strictly after N (so it is
-    longer than N whenever that regeneration was found), because block
-    statistics and the overshoot decomposition need the tail.
-
-    Derived fields follow the standard definitions: ``taus`` are the times
-    t with bit ``theta_{t-1} = 1``; ``blocks`` are the half-open index
-    ranges between consecutive regenerations, which partition
-    ``[taus[0], taus[-1])``; ``r_at_horizon`` counts regenerations up to and
-    including the first one past N; ``overshoot`` is that time minus N.
+    ``horizon`` is the nominal estimation horizon N.  ``taus`` are the
+    times t whose step ``t - 1 -> t`` regenerated, through the first one
+    past N, where the stored trajectory ends when it was found: block
+    statistics and the overshoot decomposition need the tail.  ``blocks``
+    are the half-open ranges between consecutive regenerations, which
+    partition ``[taus[0], taus[-1])``; ``overshoot`` is the first time
+    past N minus N, ``None`` when the log is open.
     """
 
     states: np.ndarray            # (L, n), L = taus[-1] when regeneration closed
-    thetas: np.ndarray            # (L,) uint8, bit t belongs to step t -> t+1
     horizon: int
     taus: tuple[int, ...]
-    blocks: tuple[tuple[int, int], ...]
-    excursion_lengths: tuple[int, ...]
-    r_at_horizon: int | None
-    overshoot: int | None
 
     @classmethod
     def from_raw(cls, states: np.ndarray, thetas: np.ndarray,
                  horizon: int) -> "RegenerationLog":
-        """Derive all bookkeeping from raw states and bits.
-
-        The log is truncated at the first regeneration time past the
-        horizon when one exists; later material contributes nothing to any
-        estimator defined here.
-        """
+        """The log of raw states and their outgoing bits (bit t belongs to
+        step t -> t+1), cut at the first regeneration time past the horizon
+        when one exists: nothing later enters any estimator here."""
         states = np.asarray(states, dtype=float)
         if states.ndim == 1:
             states = states[:, None]
@@ -264,71 +245,61 @@ class RegenerationLog:
             raise ValueError("need one bit per state")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        taus_all = np.flatnonzero(thetas == 1) + 1
-        beyond = taus_all[taus_all > horizon]
+        taus = np.flatnonzero(thetas == 1) + 1
+        beyond = np.flatnonzero(taus > horizon)
         if beyond.size:
-            cut = int(beyond[0])
-            taus = tuple(int(t) for t in taus_all[taus_all <= cut])
-            states = states[:cut]
-            thetas = thetas[:cut]
-            r_at = len(taus)
-            overshoot = cut - horizon
-        else:
-            taus = tuple(int(t) for t in taus_all)
-            r_at = None
-            overshoot = None
-        blocks = tuple((taus[i], taus[i + 1]) for i in range(len(taus) - 1))
-        excursions = tuple(b - a for a, b in blocks)
-        return cls(states=states, thetas=thetas, horizon=horizon, taus=taus,
-                   blocks=blocks, excursion_lengths=excursions,
-                   r_at_horizon=r_at, overshoot=overshoot)
+            taus = taus[:beyond[0] + 1]
+            states = states[:taus[-1]]
+        return cls(states=states, horizon=horizon,
+                   taus=tuple(int(t) for t in taus))
+
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.taus[:-1], self.taus[1:]))
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return max(len(self.taus) - 1, 0)
+
+    @property
+    def overshoot(self) -> int | None:
+        closed = self.taus and self.taus[-1] > self.horizon
+        return self.taus[-1] - self.horizon if closed else None
 
 
 def simulate_regenerative(cl: ClosedLoop, model: SldsModel,
-                          minor: Minorization, beta_op: float, horizon: int,
-                          rng: np.random.Generator, x0_mode: str = "nu_hat",
+                          minor: Minorization, horizon: int,
+                          rng: np.random.Generator,
                           x0: np.ndarray | None = None,
                           max_extension: int = 1_000_000) -> RegenerationLog:
-    """Run the split chain to the first regeneration past ``horizon``.
+    """Run the split chain of ``minor`` to the first regeneration past
+    ``horizon``, from ``x0`` or, when it is None, from a draw of the
+    regeneration measure (which makes every block identically
+    distributed).  If no regeneration occurs within ``max_extension``
+    steps past the horizon the log is returned open; estimators then fall
+    back to plain averages.
 
-    ``x0_mode`` is ``"nu_hat"`` (draw the start from the regeneration
-    measure, making every inter-regeneration block identically distributed)
-    or ``"given"`` (use ``x0``). If no regeneration occurs within
-    ``max_extension`` steps past the horizon the log is returned without a
-    closing regeneration; estimators then fall back to plain averages.
-
-    The states are the plain chain's (the first ``horizon + 1`` are
-    :func:`simulate`'s bit for bit with ``x0_mode="given"``), and each
-    chunk's pairs get their bits after the fact.  Raises as :func:`simulate`
-    does, and :class:`MinorizationViolation` where ``beta_op q(y)`` exceeds
-    the transition density at a pair.
+    The states are the plain chain's (with a given ``x0``, the first
+    ``horizon + 1`` are :func:`simulate`'s bit for bit), and each chunk's
+    pairs get their bits after the fact.  Raises as :func:`simulate` does,
+    and :class:`MinorizationViolation` where ``beta q(y)`` exceeds the
+    transition density at a pair.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    log_beta_op = _log_beta_op(minor, beta_op)
-    if x0_mode == "nu_hat":
-        x = minor.sample(rng)
-    elif x0_mode == "given":
-        if x0 is None:
-            raise ValueError("x0_mode='given' requires x0")
-        x = x0
-    else:
-        raise ValueError(f"unknown x0_mode {x0_mode!r}")
-
-    path = _path(cl, model, x, horizon + 1, rng)
+    if not minor.log_beta <= 0.0:
+        raise ValueError(f"beta = exp({minor.log_beta!r}) must lie in (0, 1]")
+    path = _path(cl, model, minor.sample(rng) if x0 is None else x0,
+                 horizon + 1, rng)
     states = [path]
-    bits = [_split_bits(cl, model, minor, log_beta_op, path, rng)]
+    bits = [_split_bits(cl, model, minor, minor.log_beta, path, rng)]
     t, cap = horizon, horizon + max_extension   # t: pairs with a bit
     # Bits past the first chunk have t >= horizon: any 1 closes the log.
     while t < cap and (t == horizon or not bits[-1].any()):
         path = _path(cl, model, path[-1], min(_EXTENSION_CHUNK, cap - t) + 1,
                      rng, t0=t)
         states.append(path[1:])
-        bits.append(_split_bits(cl, model, minor, log_beta_op, path, rng))
+        bits.append(_split_bits(cl, model, minor, minor.log_beta, path, rng))
         t += len(path) - 1
     return RegenerationLog.from_raw(np.concatenate(states)[:t],
                                     np.concatenate(bits), horizon)
@@ -336,9 +307,15 @@ def simulate_regenerative(cl: ClosedLoop, model: SldsModel,
 
 @dataclass(frozen=True)
 class RewardEstimate:
+    """A log's time-averaged reward with the reward sum of each complete
+    block (``RegenerationLog.blocks`` order); the error estimates need 30
+    blocks, and only :func:`estimate_all` fills in ``sigma2_as``."""
+
     value: float
     standard_error: float | None
     block_count: int
+    block_sums: np.ndarray
+    sigma2_as: float | None = None
 
 
 @dataclass(frozen=True)
@@ -357,49 +334,41 @@ class SumDecomposition:
     horizon: int
 
 
-@dataclass(frozen=True)
-class EstimatorOutput:
-    reward_timeavg: float
-    standard_error: float | None
-    sigma2_as: float | None
-    block_count: int
-
-
 def _block_sums(log: RegenerationLog, values: np.ndarray) -> np.ndarray:
     """Per-block sums of a per-state array covering the whole log."""
+    if not log.block_count:
+        return np.zeros(0)
     starts = np.asarray(log.taus[:-1], dtype=np.intp)
     return np.add.reduceat(values[: log.taus[-1]], starts)
 
 
 def estimate_reward(log: RegenerationLog, spec: RewardSpec,
-                    rng: np.random.Generator | None = None,
-                    n_bootstrap: int = 200) -> RewardEstimate:
+                    rng: np.random.Generator | None = None) -> RewardEstimate:
     """Time-averaged reward over the nominal horizon with a block error bar.
 
     The value is the plain average of ``r`` over the first N states. When
     at least 30 complete blocks exist, a standard error is attached by
-    resampling whole blocks with replacement and recomputing the ratio of
-    block reward sums to block lengths; block boundaries are regeneration
-    times, so resampled blocks are exchangeable.
+    resampling whole blocks with replacement (``_N_BOOTSTRAP`` times) and
+    recomputing the ratio of block reward sums to block lengths; block
+    boundaries are regeneration times, so resampled blocks are
+    exchangeable.
     """
     r = rewards_of(log.states, spec)
     value = float(np.mean(r[:log.horizon]))
     if not log.taus:
         warnings.warn("no regenerations in the log; returning a plain time "
                       "average without block-based error estimates")
-        return RewardEstimate(value=value, standard_error=None, block_count=0)
+    sums = _block_sums(log, r)
     stderr = None
     if log.block_count >= 30:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        sums = _block_sums(log, r)
+        rng = np.random.default_rng(0) if rng is None else rng
         lens = np.diff(np.asarray(log.taus, dtype=float))
         m = sums.shape[0]
-        idx = rng.integers(0, m, size=(n_bootstrap, m))
+        idx = rng.integers(0, m, size=(_N_BOOTSTRAP, m))
         stat = sums[idx].sum(axis=1) / lens[idx].sum(axis=1)
         stderr = float(np.std(stat, ddof=1))
     return RewardEstimate(value=value, standard_error=stderr,
-                          block_count=log.block_count)
+                          block_count=log.block_count, block_sums=sums)
 
 
 def estimate_invariant_prob(log: RegenerationLog, predicate) -> float:
@@ -467,14 +436,12 @@ def decompose_sum(log: RegenerationLog, spec: RewardSpec, rho_hat: float,
 
 
 def estimate_all(log: RegenerationLog, spec: RewardSpec,
-                 rng: np.random.Generator | None = None) -> EstimatorOutput:
-    """Bundle the standard estimators for one log (CLI summary payload)."""
-    rew = estimate_reward(log, spec, rng=rng)
+                 rng: np.random.Generator | None = None) -> RewardEstimate:
+    """:func:`estimate_reward` with ``sigma2_as`` filled in when the log
+    has enough blocks (the ``sldsim estimate`` payload)."""
+    est = estimate_reward(log, spec, rng=rng)
     try:
-        sigma2 = estimate_sigma2_as(log, spec, rho_hat=rew.value)
+        sigma2 = estimate_sigma2_as(log, spec, rho_hat=est.value)
     except InsufficientBlocks:
-        sigma2 = None
-    return EstimatorOutput(reward_timeavg=rew.value,
-                           standard_error=rew.standard_error,
-                           sigma2_as=sigma2,
-                           block_count=log.block_count)
+        return est
+    return dataclasses.replace(est, sigma2_as=sigma2)

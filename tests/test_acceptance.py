@@ -107,10 +107,8 @@ def test_03_split_kernel_preservation() -> None:
     x0 = np.array([1.0, 0.0])
     plain = simulate(s.cl, s.model, s.spec, x0, steps,
                      np.random.default_rng(31)).states
-    log = simulate_regenerative(s.cl, s.model, minor, minor.beta(),
-                                horizon=steps,
-                                rng=np.random.default_rng(32),
-                                x0_mode="given", x0=x0)
+    log = simulate_regenerative(s.cl, s.model, minor, horizon=steps,
+                                rng=np.random.default_rng(32), x0=x0)
     split = log.states[:steps]
     assert log.taus, "split chain never regenerated"
 
@@ -137,8 +135,7 @@ def test_04_closed_form_reward_oracle() -> None:
     t0 = time.perf_counter()
     s = zero_system(1)
     minor = operational_minorization(s.cert)
-    log = simulate_regenerative(s.cl, s.model, minor, minor.beta(),
-                                horizon=1_000_000,
+    log = simulate_regenerative(s.cl, s.model, minor, horizon=1_000_000,
                                 rng=np.random.default_rng(41))
     est = estimate_reward(log, s.spec, rng=np.random.default_rng(0))
     target = math.sqrt(2.0 / math.pi)

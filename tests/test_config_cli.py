@@ -21,8 +21,10 @@ from sldsim import (
     model_config_from_dict,
     model_config_to_dict,
     polyhedron,
+    rewards_of,
     run_pipeline,
     save_model_config,
+    simulate_regenerative,
     write_manifest,
     write_trajectory_csv,
 )
@@ -32,7 +34,10 @@ from sldsim.cli import main
 from sldsim.errors import DivergenceError, NotCertifiable, report_error
 from sldsim.regen import operational_minorization
 
-from conftest import build_system, CONTRACT_C_ROOT
+from conftest import build_system, contracting_system, CONTRACT_C_ROOT
+
+
+POLY4_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "poly4.json"
 
 
 def make_config(tmp_path, name="model.json", n=1, gamma_root=0.9,
@@ -145,6 +150,32 @@ class TestModelConfigRoundTrip:
         lopsided = dict(good, A=good["A"][:1])
         with pytest.raises(ConfigError):
             model_config_from_dict(lopsided)
+
+        region = dict(good["regions"][0])
+        misread = [
+            (dict(good, normalise_reward=True), "unknown keys"),
+            (dict(good, regions=[dict(region, r_top=1.0)]
+                  + good["regions"][1:]), "unknown keys"),
+            (dict(good, n=2.7), "n must be an integer"),
+            (dict(good, n=True), "n must be an integer"),
+            (dict(good, p="1"), "p must be an integer"),
+            (dict(good, regions=[dict(region, declared_unbounded="false")]
+                  + good["regions"][1:]), "declared_unbounded"),
+            (dict(good, normalize_reward=1), "normalize_reward"),
+            (dict(good, rho=math.nan), "rho"),
+            (dict(good, rho=math.inf), "rho"),
+            (dict(good, rho=True), "rho"),
+            ([good], "JSON object"),
+        ]
+        for data, match in misread:
+            with pytest.raises(ConfigError, match=match):
+                model_config_from_dict(data)
+
+        poly = {"kind": "polyhedral", "L": [[1.0]], "C": [5.0]}
+        for flag in (None, "true", 0):
+            with pytest.raises(ConfigError, match="declared_unbounded"):
+                model_config_from_dict(dict(good, regions=[
+                    dict(poly, declared_unbounded=flag)]))
 
     def test_file_round_trip(self, tmp_path):
         path = make_config(tmp_path)
@@ -311,6 +342,22 @@ class TestCliCertify:
         assert spot["quadratic_violations"] == 0
         assert spot["scaled_violations"] == 0
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["regions"][0].update(declared_unbounded="false"),
+        lambda d: d.update(normalise_reward=True),
+        lambda d: d.update(n=2.7),
+        lambda d: d.update(rho=math.nan),
+    ], ids=["string-flag", "unknown-key", "float-n", "nan-rho"])
+    def test_misread_config_exits_2(self, edit, tmp_path, capsys):
+        data = json.loads(POLY4_JSON.read_text())
+        edit(data)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        assert main(["certify", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_uncertifiable_exits_3(self, tmp_path):
         cfg = make_config(tmp_path, gamma_root=1.1)
         assert main(["certify", "--config", cfg,
@@ -335,10 +382,20 @@ class TestCliEstimate:
         lines = (out / "blocks.csv").read_text().splitlines()
         assert lines[0] == "m,tau_m,T_m,block_reward_sum"
         assert len(lines) == summary["blocks"] + 1
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        assert int(first[2]) >= 1
-        float(first[3])
+        # Each row is the log's block and its reward sum, recomputed on
+        # the command's stream.
+        sys = contracting_system(1)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(0, spawn_key=(cli._ESTIMATE_TAG,)))
+        log = simulate_regenerative(sys.cl, sys.model,
+                                    operational_minorization(sys.cert), 2000,
+                                    rng)
+        r = rewards_of(log.states, sys.spec)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [tuple(map(int, row[:3])) for row in rows] == [
+            (m, lo, hi - lo) for m, (lo, hi) in enumerate(log.blocks, 1)]
+        assert [float(row[3]) for row in rows] == pytest.approx(
+            [float(np.sum(r[lo:hi])) for lo, hi in log.blocks], rel=1e-12)
 
     def test_certified_beta_mode_on_mild_chain(self, tmp_path):
         cfg = make_config(tmp_path, gamma_root=0.1, c_root=0.1, rho=1.0)
@@ -452,10 +509,11 @@ class TestCliBound:
         bad.write_text(json.dumps({"o1": -1.0}))
         assert main(["bound", "--config", cfg, "--out", out,
                      "--constants", str(bad)]) == 2
-        unknown = tmp_path / "unknown.json"
-        unknown.write_text(json.dumps({"zeta": 1.0}))
-        assert main(["bound", "--config", cfg, "--out", out,
-                     "--constants", str(unknown)]) == 2
+        for i, data in enumerate(({"zeta": 1.0}, {"o1": True}, [1.0])):
+            misread = tmp_path / f"misread{i}.json"
+            misread.write_text(json.dumps(data))
+            assert main(["bound", "--config", cfg, "--out", out,
+                         "--constants", str(misread)]) == 2
 
 
 class TestCliSweeps:

@@ -136,6 +136,13 @@ class TestCertify:
         assert info.value.gamma == pytest.approx(1.21)
         assert info.value.region_index == 0
 
+    def test_dimension_must_match_closed_loop(self):
+        # A wrong n would silently enter K = n + c rho^2.
+        sys = build_system(1)
+        cls_ = classify_regions(sys.model, CASE_RHO)
+        with pytest.raises(ValueError, match="dimension 1"):
+            certify(sys.cl, cls_, CASE_RHO, 5)
+
     def test_lambda_choice_validated(self):
         sys = build_system(1)
         cls_ = classify_regions(sys.model, CASE_RHO)

@@ -21,6 +21,7 @@ from sldsim import (
     check_minorization_pointwise,
     closed_loop,
     decompose_sum,
+    estimate_all,
     estimate_invariant_prob,
     estimate_reward,
     estimate_sigma2_as,
@@ -180,8 +181,8 @@ class TestSplitStep:
         x = np.array([30.0])
         outs = []
         for _ in range(2000):
-            split, nxt = split_step(x, sys.cl, sys.model, op, beta, rng)
-            assert split.theta == 0
+            theta, nxt = split_step(x, sys.cl, sys.model, op, beta, rng)
+            assert theta == 0
             outs.append(nxt[0])
         # Plain Gaussian step around 0.9 * 30.
         assert np.mean(outs) == pytest.approx(27.0,
@@ -208,7 +209,7 @@ class TestSplitStep:
         rng = np.random.default_rng(6)
         x = np.array([0.3])
         fired = sum(
-            split_step(x, sys.cl, sys.model, op, beta, rng)[0].theta
+            split_step(x, sys.cl, sys.model, op, beta, rng)[0]
             for _ in range(20_000))
         expect = 20_000 * beta
         assert abs(fired - expect) < 4 * math.sqrt(expect * (1 - beta))
@@ -219,8 +220,8 @@ class TestSplitStep:
         rng = np.random.default_rng(7)
         x = np.zeros(1)
         for _ in range(10_000):
-            split, x = split_step(x, sys.cl, sys.model, op, 1e-300, rng)
-            assert split.theta == 0
+            theta, x = split_step(x, sys.cl, sys.model, op, 1e-300, rng)
+            assert theta == 0
 
     def test_minorization_violation_detected(self):
         # On the zero system the kernel is N(0, 1), but 0.5 times the
@@ -228,7 +229,7 @@ class TestSplitStep:
         sys = zero_system(1)
         minor = Minorization(n=1, s_radius=5.0, log_beta=math.log(0.5))
         with pytest.raises(MinorizationViolation):
-            simulate_regenerative(sys.cl, sys.model, minor, 0.5, 100,
+            simulate_regenerative(sys.cl, sys.model, minor, 100,
                                   np.random.default_rng(27))
         rng = np.random.default_rng(28)
         with pytest.raises(MinorizationViolation):
@@ -248,9 +249,7 @@ class TestRegenerationLog:
         log = RegenerationLog.from_raw(states, thetas, horizon=6)
         assert log.taus == (3, 5, 9)
         assert log.blocks == ((3, 5), (5, 9))
-        assert log.excursion_lengths == (2, 4)
         assert log.block_count == 2
-        assert log.r_at_horizon == 3
         assert log.overshoot == 3
         assert log.states.shape[0] == 9
 
@@ -266,14 +265,14 @@ class TestRegenerationLog:
         states, thetas = hand_log()
         log = RegenerationLog.from_raw(states, thetas, horizon=11)
         assert log.taus == (3, 5, 9, 11)
-        assert log.r_at_horizon is None
         assert log.overshoot is None
         assert log.states.shape[0] == 12
 
     def test_blocks_partition_the_span(self):
         states, thetas = hand_log()
         log = RegenerationLog.from_raw(states, thetas, horizon=6)
-        assert sum(log.excursion_lengths) == log.taus[-1] - log.taus[0]
+        assert sum(b - a for a, b in log.blocks) == (log.taus[-1]
+                                                    - log.taus[0])
         for (a, b), (c, _) in zip(log.blocks[:-1], log.blocks[1:]):
             assert b == c
 
@@ -289,30 +288,29 @@ class TestSimulateRegenerative:
     def test_closed_log_invariants(self):
         sys = contracting_system(1)
         op = operational_minorization(sys.cert)
-        beta = math.exp(op.log_beta)
-        log = simulate_regenerative(sys.cl, sys.model, op, beta, 2000,
+        log = simulate_regenerative(sys.cl, sys.model, op, 2000,
                                     np.random.default_rng(8))
-        assert log.r_at_horizon is not None
         assert log.overshoot is not None and log.overshoot >= 1
         assert log.states.shape[0] == 2000 + log.overshoot
         assert log.taus[-1] == log.states.shape[0]
-        fired = np.flatnonzero(log.thetas == 1) + 1
-        assert tuple(int(t) for t in fired) == log.taus
+        assert list(log.taus) == sorted(set(log.taus))
+        assert sum(t > 2000 for t in log.taus) == 1
 
     def test_theta_zero_outside_small_set(self):
         sys = contracting_system(1)
         op = operational_minorization(sys.cert)
-        beta = math.exp(op.log_beta)
-        log = simulate_regenerative(sys.cl, sys.model, op, beta, 5000,
+        log = simulate_regenerative(sys.cl, sys.model, op, 5000,
                                     np.random.default_rng(9))
-        outside = np.linalg.norm(log.states, axis=1) > op.s_radius
-        assert not np.any(log.thetas[outside] == 1)
+        # A regeneration at tau is a bit on the step out of x_{tau - 1}.
+        assert log.taus
+        before = log.states[np.asarray(log.taus) - 1]
+        assert np.all(np.linalg.norm(before, axis=1) <= op.s_radius)
 
     def test_regen_count_tracks_conditional_rate(self):
         sys = contracting_system(1)
         op = operational_minorization(sys.cert)
         beta = math.exp(op.log_beta)
-        log = simulate_regenerative(sys.cl, sys.model, op, beta, 20_000,
+        log = simulate_regenerative(sys.cl, sys.model, op, 20_000,
                                     np.random.default_rng(10))
         hits = int(np.sum(np.linalg.norm(log.states, axis=1)
                           <= op.s_radius))
@@ -324,7 +322,7 @@ class TestSimulateRegenerative:
         # the ball S, whatever x_t was.
         sys = contracting_system(1)
         op = operational_minorization(sys.cert)
-        log = simulate_regenerative(sys.cl, sys.model, op, op.beta(), 20_000,
+        log = simulate_regenerative(sys.cl, sys.model, op, 20_000,
                                     np.random.default_rng(31))
         fresh = log.states[np.asarray(log.taus[:-1]), 0]
         assert fresh.size >= 300
@@ -335,23 +333,21 @@ class TestSimulateRegenerative:
     def test_iid_debug_regenerates_every_step(self):
         sys = zero_system(1)
         minor = iid_debug_minorization(1)
-        log = simulate_regenerative(sys.cl, sys.model, minor, 1.0, 50,
+        log = simulate_regenerative(sys.cl, sys.model, minor, 50,
                                     np.random.default_rng(11))
         assert log.taus == tuple(range(1, 52))
-        assert set(log.excursion_lengths) == {1}
+        assert set(b - a for a, b in log.blocks) == {1}
 
     def test_open_log_fallback_when_chain_never_visits(self):
         # The benchmark chain orbits the rho ball and never reaches an
         # origin-centered operational set, so no regeneration occurs.
         sys = build_system(1)
         op = operational_minorization(sys.cert)
-        beta = math.exp(op.log_beta)
-        log = simulate_regenerative(sys.cl, sys.model, op, beta, 200,
+        log = simulate_regenerative(sys.cl, sys.model, op, 200,
                                     np.random.default_rng(12),
-                                    x0_mode="given", x0=np.array([15.0]),
-                                    max_extension=200)
+                                    x0=np.array([15.0]), max_extension=200)
         assert log.taus == ()
-        assert log.r_at_horizon is None
+        assert log.overshoot is None
         with pytest.warns(UserWarning):
             est = estimate_reward(log, sys.spec)
         assert est.block_count == 0
@@ -367,10 +363,9 @@ class TestSimulateRegenerative:
         sys = make()
         op = operational_minorization(sys.cert)
         x0 = np.array(x0)
-        log = simulate_regenerative(sys.cl, sys.model, op, op.beta(), 3000,
+        log = simulate_regenerative(sys.cl, sys.model, op, 3000,
                                     np.random.default_rng(29),
-                                    x0_mode="given", x0=x0,
-                                    max_extension=100)
+                                    x0=x0, max_extension=100)
         plain = simulate(sys.cl, sys.model, sys.spec, x0, 3001,
                          np.random.default_rng(29)).states
         assert np.array_equal(log.states[:3001], plain)
@@ -386,9 +381,9 @@ class TestSimulateRegenerative:
         steps = []
         for horizon in (2000, 2):
             with pytest.raises(DivergenceError) as info:
-                simulate_regenerative(cl, model, minor, minor.beta(),
-                                      horizon, np.random.default_rng(30),
-                                      x0_mode="given", x0=np.array([1.0]),
+                simulate_regenerative(cl, model, minor, horizon,
+                                      np.random.default_rng(30),
+                                      x0=np.array([1.0]),
                                       max_extension=2000)
             steps.append(info.value.step_index)
         assert steps[0] == steps[1] and 0 < steps[0] < 2000
@@ -396,23 +391,23 @@ class TestSimulateRegenerative:
     def test_argument_validation(self):
         sys = contracting_system(1)
         op = operational_minorization(sys.cert)
-        beta = math.exp(op.log_beta)
         rng = np.random.default_rng(13)
         with pytest.raises(ValueError):
-            simulate_regenerative(sys.cl, sys.model, op, beta, 1, rng)
+            simulate_regenerative(sys.cl, sys.model, op, 1, rng)
         with pytest.raises(ValueError):
-            simulate_regenerative(sys.cl, sys.model, op, beta, 10, rng,
-                                  x0_mode="given")
-        with pytest.raises(ValueError):
-            simulate_regenerative(sys.cl, sys.model, op, beta, 10, rng,
-                                  x0_mode="stationary")
+            simulate_regenerative(sys.cl, sys.model, op, 10, rng,
+                                  x0=np.zeros(2))
+        for log_beta in (0.5, math.nan):
+            above_one = Minorization(n=1, s_radius=op.s_radius,
+                                     log_beta=log_beta)
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                simulate_regenerative(sys.cl, sys.model, above_one, 10, rng)
 
 
 def contracting_log(horizon=20_000, seed=14):
     sys = contracting_system(1)
     op = operational_minorization(sys.cert)
-    beta = math.exp(op.log_beta)
-    log = simulate_regenerative(sys.cl, sys.model, op, beta, horizon,
+    log = simulate_regenerative(sys.cl, sys.model, op, horizon,
                                 np.random.default_rng(seed))
     return sys, log
 
@@ -421,7 +416,7 @@ class TestEstimators:
     def test_constant_reward_is_exact(self):
         sys = zero_system(1)
         minor = iid_debug_minorization(1)
-        log = simulate_regenerative(sys.cl, sys.model, minor, 1.0, 500,
+        log = simulate_regenerative(sys.cl, sys.model, minor, 500,
                                     np.random.default_rng(15))
         policy = Policy(pi=np.zeros((1, 1)))
         flat = RewardSpec.bind(Q=np.zeros((1, 1)), R=np.eye(1),
@@ -433,7 +428,7 @@ class TestEstimators:
     def test_iid_half_normal_mean(self):
         sys = zero_system(1)
         minor = iid_debug_minorization(1)
-        log = simulate_regenerative(sys.cl, sys.model, minor, 1.0,
+        log = simulate_regenerative(sys.cl, sys.model, minor,
                                     100_000, np.random.default_rng(16))
         est = estimate_reward(log, sys.spec)
         target = math.sqrt(2.0 / math.pi)
@@ -454,7 +449,7 @@ class TestEstimators:
     def test_invariant_prob_iid_oracle(self):
         sys = zero_system(1)
         minor = iid_debug_minorization(1)
-        log = simulate_regenerative(sys.cl, sys.model, minor, 1.0,
+        log = simulate_regenerative(sys.cl, sys.model, minor,
                                     40_000, np.random.default_rng(19))
         p = estimate_invariant_prob(log, lambda x: abs(x[0]) <= 1.0)
         target = 2 * stats.norm.cdf(1.0) - 1.0
@@ -483,7 +478,7 @@ class TestEstimators:
     def test_sigma2_matches_iid_variance(self):
         sys = zero_system(1)
         minor = iid_debug_minorization(1)
-        log = simulate_regenerative(sys.cl, sys.model, minor, 1.0,
+        log = simulate_regenerative(sys.cl, sys.model, minor,
                                     100_000, np.random.default_rng(21))
         rho = float(np.mean(rewards_of(log.states[:log.horizon],
                                        sys.spec)))
@@ -493,11 +488,34 @@ class TestEstimators:
 
     def test_sigma2_needs_thirty_blocks(self):
         sys, log = contracting_log(horizon=2000, seed=22)
-        small = RegenerationLog.from_raw(log.states[:60], log.thetas[:60],
-                                         horizon=50)
+        bits = np.zeros(60, dtype=np.uint8)
+        bits[[t - 1 for t in log.taus if t <= 60]] = 1
+        small = RegenerationLog.from_raw(log.states[:60], bits, horizon=50)
         if small.block_count < 30:
             with pytest.raises(InsufficientBlocks):
                 estimate_sigma2_as(small, sys.spec, rho_hat=1.0)
+
+    def test_estimate_all_is_one_record(self):
+        sys, log = contracting_log(horizon=5000, seed=32)
+        est = estimate_all(log, sys.spec)
+        plain = estimate_reward(log, sys.spec)
+        assert est.value == plain.value
+        assert est.standard_error == plain.standard_error
+        assert est.block_count == log.block_count >= 30
+        assert est.sigma2_as == estimate_sigma2_as(log, sys.spec, est.value)
+        r = rewards_of(log.states, sys.spec)
+        assert est.block_sums.tolist() == pytest.approx(
+            [float(np.sum(r[a:b])) for a, b in log.blocks], rel=1e-12)
+        assert plain.sigma2_as is None
+
+    def test_estimate_all_without_blocks(self):
+        sys = contracting_system(1)
+        bits = np.zeros(50, dtype=np.uint8)
+        bits[[9, 29]] = 1
+        log = RegenerationLog.from_raw(np.zeros(50), bits, horizon=40)
+        est = estimate_all(log, sys.spec)
+        assert est.block_count == 1 and est.block_sums.shape == (1,)
+        assert est.sigma2_as is None and est.standard_error is None
 
     def test_block_sums_are_exchangeable(self):
         sys, log = contracting_log(horizon=20_000, seed=23)
