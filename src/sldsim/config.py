@@ -54,6 +54,22 @@ def _typed(value, kinds: tuple, what: str, rule: str):
     raise ConfigError(f"{what} must be {rule}, got {value!r:.40}")
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a bool, string or null raises."""
+    return float(_typed(value, (int, float), what, "a number"))
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array; an entry that is a
+    bool, string, null or object raises."""
+    if isinstance(value, list):
+        for entry in value:
+            _numbers(entry, what)
+    else:
+        _typed(value, (int, float), f"{what} entries", "numbers")
+    return np.asarray(value, dtype=float)
+
+
 def _known(d: dict, keys: set, where: str) -> None:
     if set(d) - keys:
         raise ConfigError(f"{where}: unknown keys {sorted(set(d) - keys)}")
@@ -68,13 +84,15 @@ def _region_from_dict(d: dict, index: int) -> Region:
     flag = f"{where} declared_unbounded"
     if kind == "radial":
         r_hi = d.get("r_hi")
-        return Region(kind="radial", r_lo=float(d.get("r_lo", 0.0)),
-                      r_hi=math.inf if r_hi is None else float(r_hi),
+        return Region(kind="radial",
+                      r_lo=_number(d.get("r_lo", 0.0), f"{where} r_lo"),
+                      r_hi=(math.inf if r_hi is None
+                            else _number(r_hi, f"{where} r_hi")),
                       declared_unbounded=_typed(
                           d.get("declared_unbounded"), (bool, type(None)),
                           flag, "true, false or null"))
-    return Region(kind="polyhedral", L=np.asarray(d["L"], dtype=float),
-                  C=np.asarray(d["C"], dtype=float),
+    return Region(kind="polyhedral", L=_numbers(d["L"], f"{where} L"),
+                  C=_numbers(d["C"], f"{where} C"),
                   declared_unbounded=_typed(d["declared_unbounded"], (bool,),
                                             flag, "true or false"))
 
@@ -112,18 +130,16 @@ def model_config_from_dict(data: dict) -> ModelConfig:
         p = _typed(data["p"], (int,), "p", "an integer")
         regions = tuple(_region_from_dict(r, i)
                         for i, r in enumerate(data["regions"]))
-        dynamics = tuple(
-            (np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-            for A, B in zip(data["A"], data["B"], strict=True))
+        dynamics = tuple((_numbers(A, "A"), _numbers(B, "B"))
+                         for A, B in zip(data["A"], data["B"], strict=True))
         model = SldsModel(n=n, p=p, regions=regions, dynamics=dynamics)
-        policy = Policy(pi=np.asarray(data["pi"], dtype=float))
+        policy = Policy(pi=_numbers(data["pi"], "pi"))
         reward = RewardSpec.bind(
-            Q=np.asarray(data["Q"], dtype=float),
-            R=np.asarray(data["R"], dtype=float),
+            Q=_numbers(data["Q"], "Q"), R=_numbers(data["R"], "R"),
             policy=policy,
             normalize=_typed(data.get("normalize_reward", False), (bool,),
                              "normalize_reward", "true or false"))
-        rho = float(_typed(data["rho"], (int, float), "rho", "a number"))
+        rho = _number(data["rho"], "rho")
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     ClassificationConflict,
     DriftViolation,
-    MinorizationViolation,
     NotCertifiable,
     UncoveredExterior,
 )
@@ -108,27 +107,6 @@ class DriftReport:
     @property
     def ok(self) -> bool:
         return not self.quadratic_violations and not self.scaled_violations
-
-
-@dataclass(frozen=True)
-class MinorizationCase:
-    point_index: int
-    box_index: int
-    log_p: float
-    log_rhs: float
-
-    @property
-    def ok(self) -> bool:
-        return self.log_p >= self.log_rhs or self.log_rhs == -math.inf
-
-
-@dataclass(frozen=True)
-class MinorizationReport:
-    cases: tuple[MinorizationCase, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.cases)
 
 
 def classify_regions(model: SldsModel, rho_ball: float,
@@ -370,59 +348,3 @@ def sample_in_ball(dim: int, radius: float,
     z /= np.linalg.norm(z)
     return radius * rng.random() ** (1.0 / dim) * z
 
-
-def minorization_check(cl: ClosedLoop, model: SldsModel, cert: Certificate,
-                       boxes: list[tuple[np.ndarray, np.ndarray]],
-                       points: list[np.ndarray],
-                       raise_on_violation: bool = True,
-                       sobol_log2: int = 14) -> MinorizationReport:
-    """Verify ``P(x, A) >= beta nu_hat(A)`` on boxes, in low dimension.
-
-    For each state ``x`` in ``S`` and axis-aligned box ``A``, the kernel
-    mass ``P(x, A)`` is a product of one-dimensional Gaussian CDF
-    differences centered at ``Ahat_{j(x)} x`` (exact), while
-    ``nu_hat(A) = vol(A intersect S) / vol(S)`` is estimated by
-    quasi-Monte Carlo points in the box. Feasible for n <= 3 only.
-    """
-    from scipy.special import ndtr
-    from scipy.stats import qmc
-
-    n = cert.n
-    if n > 3:
-        raise ValueError("minorization_check supports n <= 3")
-    sampler = qmc.Sobol(d=n, scramble=False)
-    unit = sampler.random_base2(m=sobol_log2)
-    log_vol_s = log_ball_volume(n, cert.s_radius)
-
-    cases: list[MinorizationCase] = []
-    for pi_, x in enumerate(points):
-        x = np.asarray(x, dtype=float)
-        if float(np.linalg.norm(x)) > cert.s_radius:
-            raise ValueError(f"point {pi_} lies outside S")
-        mean = cl.ahat[region_of(model, x)] @ x
-        for bi, (lo, hi) in enumerate(boxes):
-            lo = np.asarray(lo, dtype=float)
-            hi = np.asarray(hi, dtype=float)
-            if np.any(hi < lo):
-                raise ValueError(f"box {bi} has hi < lo")
-            factors = ndtr(hi - mean) - ndtr(lo - mean)
-            p = float(np.prod(np.clip(factors, 0.0, 1.0)))
-            log_p = math.log(p) if p > 0 else -math.inf
-            pts = lo + unit * (hi - lo)
-            inside = np.linalg.norm(pts, axis=1) <= cert.s_radius
-            frac = float(np.mean(inside))
-            if frac == 0.0 or np.any(hi == lo):
-                log_nu = -math.inf
-            else:
-                log_box = float(np.sum(np.log(hi - lo)))
-                log_nu = math.log(frac) + log_box - log_vol_s
-            cases.append(MinorizationCase(point_index=pi_, box_index=bi,
-                                          log_p=log_p,
-                                          log_rhs=cert.log_beta + log_nu))
-    report = MinorizationReport(cases=tuple(cases))
-    if raise_on_violation and not report.ok:
-        bad = [c for c in report.cases if not c.ok]
-        raise MinorizationViolation(
-            f"{len(bad)} box/point pair(s) violate the minorization; first: "
-            f"log P = {bad[0].log_p!r} < log(beta nu_hat) = {bad[0].log_rhs!r}")
-    return report

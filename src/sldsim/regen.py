@@ -50,29 +50,16 @@ _N_BOOTSTRAP = 200
 
 @dataclass(frozen=True)
 class Minorization:
-    """A small set and regeneration measure usable for splitting.
-
-    ``kind`` selects the measure: ``"ball"`` is the uniform distribution
-    on the ball of radius ``s_radius`` (the standard choice); ``"gaussian"``
-    is N(0, I) with ``S`` the whole space, valid only for identically zero
-    dynamics (then the kernel equals the measure), provided as an i.i.d.
-    debug mode.
-    """
+    """A small set and regeneration measure usable for splitting: ``S`` is
+    the ball of radius ``s_radius`` and the measure is uniform on it."""
 
     n: int
     s_radius: float
     log_beta: float
-    kind: str = "ball"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("ball", "gaussian"):
-            raise ValueError(f"unknown minorization kind {self.kind!r}")
 
     @cached_property
     def log_vol(self) -> float:
-        """Log volume of the ball ``S``; NaN for the Gaussian kind."""
-        if self.kind == "gaussian":
-            return math.nan
+        """Log volume of the ball ``S``."""
         return log_ball_volume(self.n, self.s_radius)
 
     @classmethod
@@ -85,22 +72,14 @@ class Minorization:
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         """Whether ``x``, or each row of a stack of states, lies in ``S``."""
-        if self.kind == "gaussian":
-            return np.full(x.shape[:-1], True)
         return np.sqrt(_row_dots(x)) <= self.s_radius
 
     def log_density(self, y: np.ndarray) -> float | np.ndarray:
         """Log density of the regeneration measure at ``y``, or at each row
         of a stack of states."""
-        sq = _row_dots(y)
-        if self.kind == "gaussian":
-            return -(self.n / 2.0) * LOG_2PI - 0.5 * sq
-        return np.where(np.sqrt(sq) <= self.s_radius, -self.log_vol,
-                        -math.inf)
+        return np.where(self.contains(y), -self.log_vol, -math.inf)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "gaussian":
-            return rng.standard_normal(self.n)
         return sample_in_ball(self.n, self.s_radius, rng)
 
 
@@ -118,12 +97,11 @@ def operational_minorization(cert: Certificate,
     The default radius is ``2 / (1 + max_gain)``, which makes ``D = 2``
     and keeps the constant above ``exp(-3)`` in one dimension.
     """
-    max_gain = math.sqrt(max(cert.gamma, cert.c))
     if radius is None:
-        radius = 2.0 / (1.0 + max_gain)
+        radius = 2.0 / (1.0 + cert.max_gain)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    d = radius * (1.0 + max_gain)
+    d = radius * (1.0 + cert.max_gain)
     log_beta = (-(cert.n / 2.0) * LOG_2PI - 0.5 * d * d
                 + _log_volume_below_one(cert.n, radius))
     return Minorization(n=cert.n, s_radius=radius, log_beta=log_beta)
@@ -138,12 +116,6 @@ def _log_volume_below_one(n: int, radius: float) -> float:
     if terms[0] + terms[1] - terms[2] > 1e-9 * (1.0 + sum(map(abs, terms))):
         return 0.0
     return min(0.0, log_ball_volume(n, radius))
-
-
-def iid_debug_minorization(n: int) -> Minorization:
-    """Full splitting for zero dynamics: ``S`` is everything, beta is 1."""
-    return Minorization(n=n, s_radius=math.inf, log_beta=0.0,
-                        kind="gaussian")
 
 
 def check_minorization_pointwise(cl: ClosedLoop, model: SldsModel,
@@ -277,10 +249,13 @@ def simulate_regenerative(cl: ClosedLoop, model: SldsModel,
     regeneration measure (which makes every block identically
     distributed).  If no regeneration occurs within ``max_extension``
     steps past the horizon the log is returned open; estimators then fall
-    back to plain averages.
+    back to plain averages.  A chain with no regeneration among its first
+    ``horizon`` pairs (as one that never reached ``S`` there) returns its
+    open log at the horizon without extending: a regeneration past it
+    would close no complete block, so no estimator here would change.
 
-    The states are the plain chain's (with a given ``x0``, the first
-    ``horizon + 1`` are :func:`simulate`'s bit for bit), and each chunk's
+    The states are the plain chain's (with a given ``x0``,
+    :func:`simulate`'s bit for bit), and each chunk's
     pairs get their bits after the fact.  Raises as :func:`simulate` does,
     and :class:`MinorizationViolation` where ``beta q(y)`` exceeds the
     transition density at a pair.
@@ -293,7 +268,10 @@ def simulate_regenerative(cl: ClosedLoop, model: SldsModel,
                  horizon + 1, rng)
     states = [path]
     bits = [_split_bits(cl, model, minor, minor.log_beta, path, rng)]
-    t, cap = horizon, horizon + max_extension   # t: pairs with a bit
+    # t counts the pairs with a bit.  The extension closes the block the
+    # last regeneration by the horizon opened; with none there is no block.
+    t = horizon
+    cap = horizon + max_extension if bits[0].any() else t
     # Bits past the first chunk have t >= horizon: any 1 closes the log.
     while t < cap and (t == horizon or not bits[-1].any()):
         path = _path(cl, model, path[-1], min(_EXTENSION_CHUNK, cap - t) + 1,

@@ -423,9 +423,6 @@ def sweep_gamma(cfg: SweepConfig) -> SweepResult:
                        fit=None, spearman=spearman)
 
 
-_SWEEPS = {"dimension": sweep_dimension, "gamma": sweep_gamma}
-
-
 def _spearman(x, y) -> float | None:
     """Spearman's rank correlation as ``scipy.stats.spearmanr(x, y)``
     computes it, bit for bit: average ranks for ties, then the Pearson
@@ -486,7 +483,9 @@ def write_sweeps(cfg: SweepConfig, kinds: tuple[str, ...],
 
     config_hash = (None if config_path is None
                    else sha256_of_file(config_path))
-    results = [_SWEEPS[kind](cfg) for kind in kinds]
+    # Looked up per call, so a replaced module attribute is the one run.
+    sweeps = {"dimension": sweep_dimension, "gamma": sweep_gamma}
+    results = [sweeps[kind](cfg) for kind in kinds]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for result in results:

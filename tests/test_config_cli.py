@@ -342,14 +342,31 @@ class TestCliCertify:
         assert spot["quadratic_violations"] == 0
         assert spot["scaled_violations"] == 0
 
-    @pytest.mark.parametrize("edit", [
-        lambda d: d["regions"][0].update(declared_unbounded="false"),
-        lambda d: d.update(normalise_reward=True),
-        lambda d: d.update(n=2.7),
-        lambda d: d.update(rho=math.nan),
-    ], ids=["string-flag", "unknown-key", "float-n", "nan-rho"])
-    def test_misread_config_exits_2(self, edit, tmp_path, capsys):
-        data = json.loads(POLY4_JSON.read_text())
+    @pytest.mark.parametrize("base, edit", [
+        ("poly4", lambda d: d["regions"][0].update(
+            declared_unbounded="false")),
+        ("poly4", lambda d: d.update(normalise_reward=True)),
+        ("poly4", lambda d: d.update(n=2.7)),
+        ("poly4", lambda d: d.update(rho=math.nan)),
+        # Every number is a JSON number: a bool or a string is no 1.0.
+        ("readme", lambda d: d["regions"][0].update(r_lo=True)),
+        ("readme", lambda d: d["regions"][1].update(r_hi=True)),
+        ("readme", lambda d: d["regions"][0].update(r_lo="10")),
+        ("readme", lambda d: d["A"][1][0].__setitem__(0, True)),
+        ("readme", lambda d: d["B"][0][0].__setitem__(0, "0")),
+        ("readme", lambda d: d["pi"][0].__setitem__(0, False)),
+        ("readme", lambda d: d["Q"][0].__setitem__(0, True)),
+        ("readme", lambda d: d["R"][0].__setitem__(0, "1")),
+        ("poly4", lambda d: d["regions"][0]["L"][0].__setitem__(0, True)),
+        ("poly4", lambda d: d["regions"][0]["C"].__setitem__(0, False)),
+    ], ids=["string-flag", "unknown-key", "float-n", "nan-rho",
+            "bool-r_lo", "bool-r_hi", "string-r_lo", "bool-A", "string-B",
+            "bool-pi", "bool-Q", "string-R", "bool-L", "bool-C"])
+    def test_misread_config_exits_2(self, base, edit, tmp_path, capsys):
+        # "readme" is the README's model config: the n = 1 case study.
+        source = (POLY4_JSON if base == "poly4"
+                  else Path(make_config(tmp_path, name="readme.json")))
+        data = json.loads(source.read_text())
         edit(data)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data))

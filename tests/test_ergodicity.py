@@ -12,7 +12,6 @@ from scipy import integrate, stats
 from sldsim import (
     ClassificationConflict,
     DriftViolation,
-    MinorizationViolation,
     NotCertifiable,
     Policy,
     Region,
@@ -26,7 +25,6 @@ from sldsim import (
     gaussian_overlap,
     log_ball_volume,
     log_gaussian_overlap,
-    minorization_check,
     polyhedron,
     radial_shell,
     region_of,
@@ -352,53 +350,3 @@ class TestSampleInBall:
         p = stats.kstest(xs, stats.uniform(loc=-r, scale=2 * r).cdf).pvalue
         assert p > 0.01
 
-
-class TestMinorizationCheck:
-    def test_benchmark_boxes_hold(self):
-        sys = build_system(1)
-        report = minorization_check(
-            sys.cl, sys.model, sys.cert,
-            boxes=[(np.array([-1.0]), np.array([1.0])),
-                   (np.array([2.0]), np.array([5.0]))],
-            points=[np.array([0.0]), np.array([9.0]), np.array([20.0])])
-        assert report.ok
-        assert len(report.cases) == 6
-
-    def test_center_box_mass_is_exact(self):
-        sys = build_system(1)
-        report = minorization_check(
-            sys.cl, sys.model, sys.cert,
-            boxes=[(np.array([-1.0]), np.array([1.0]))],
-            points=[np.array([0.0])])
-        # From the origin the next state is standard normal.
-        assert report.cases[0].log_p == pytest.approx(
-            math.log(2 * stats.norm.cdf(1.0) - 1.0), rel=1e-12)
-
-    def test_box_outside_support_is_vacuous(self):
-        sys = build_system(1)
-        s = sys.cert.s_radius
-        report = minorization_check(
-            sys.cl, sys.model, sys.cert,
-            boxes=[(np.array([s + 1.0]), np.array([s + 2.0]))],
-            points=[np.array([0.0])])
-        assert report.cases[0].log_rhs == -math.inf
-        assert report.ok
-
-    def test_forged_constant_detected(self):
-        sys = build_system(1)
-        forged = dataclasses.replace(sys.cert, log_beta=0.0)
-        with pytest.raises(MinorizationViolation):
-            minorization_check(
-                sys.cl, sys.model, forged,
-                boxes=[(np.array([-1.0]), np.array([1.0]))],
-                points=[np.array([sys.cert.s_radius])])
-
-    def test_input_validation(self):
-        sys = build_system(1)
-        with pytest.raises(ValueError):
-            minorization_check(sys.cl, sys.model, sys.cert, boxes=[],
-                               points=[np.array([100.0])])
-        sys4 = build_system(4)
-        with pytest.raises(ValueError):
-            minorization_check(sys4.cl, sys4.model, sys4.cert, boxes=[],
-                               points=[])

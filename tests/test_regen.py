@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from sldsim import (
     estimate_invariant_prob,
     estimate_reward,
     estimate_sigma2_as,
-    iid_debug_minorization,
     log_ball_volume,
     operational_minorization,
     radial_shell,
@@ -41,16 +41,11 @@ from conftest import build_system, contracting_system, zero_system
 
 
 class TestMinorization:
-    def test_kind_validated(self):
-        with pytest.raises(ValueError):
-            Minorization(n=1, s_radius=1.0, log_beta=-1.0, kind="box")
-
     def test_from_certificate(self):
         sys = build_system(1)
         minor = Minorization.from_certificate(sys.cert)
         assert minor.s_radius == sys.cert.s_radius
         assert minor.log_beta == sys.cert.log_beta
-        assert minor.kind == "ball"
 
     def test_ball_density_and_support(self):
         minor = Minorization(n=1, s_radius=2.0, log_beta=-1.0)
@@ -60,14 +55,6 @@ class TestMinorization:
         assert minor.log_density(np.array([0.5])) == pytest.approx(
             -math.log(4.0))
         assert minor.log_density(np.array([3.0])) == -math.inf
-
-    def test_gaussian_density(self):
-        minor = iid_debug_minorization(2)
-        assert minor.contains(np.array([1e6, 0.0]))
-        assert minor.beta() == 1.0
-        y = np.array([1.0, -2.0])
-        expected = -math.log(2 * math.pi) - 0.5 * 5.0
-        assert minor.log_density(y) == pytest.approx(expected, rel=1e-12)
 
     def test_sample_stays_in_support(self):
         minor = Minorization(n=3, s_radius=1.5, log_beta=-1.0)
@@ -144,6 +131,20 @@ class TestPointwiseCheck:
         with pytest.raises(MinorizationViolation):
             check_minorization_pointwise(sys.cl, sys.model, forged,
                                          np.random.default_rng(1))
+
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    def test_certified_pair_holds_and_forgery_is_caught(self, n):
+        # The certificate's own pair, at any dimension: the closed-form
+        # constant holds at every sampled pair of S, and beta = 1 breaks.
+        sys = build_system(n)
+        certified = Minorization.from_certificate(sys.cert)
+        margin = check_minorization_pointwise(
+            sys.cl, sys.model, certified, np.random.default_rng(n))
+        assert margin >= 0.0
+        forged = dataclasses.replace(certified, log_beta=0.0)
+        with pytest.raises(MinorizationViolation):
+            check_minorization_pointwise(sys.cl, sys.model, forged,
+                                         np.random.default_rng(n))
 
 
 class TestSampleNuHat:
@@ -330,17 +331,10 @@ class TestSimulateRegenerative:
         uniform = stats.uniform(loc=-op.s_radius, scale=2 * op.s_radius)
         assert stats.kstest(fresh, uniform.cdf).pvalue > 0.01
 
-    def test_iid_debug_regenerates_every_step(self):
-        sys = zero_system(1)
-        minor = iid_debug_minorization(1)
-        log = simulate_regenerative(sys.cl, sys.model, minor, 50,
-                                    np.random.default_rng(11))
-        assert log.taus == tuple(range(1, 52))
-        assert set(b - a for a, b in log.blocks) == {1}
-
     def test_open_log_fallback_when_chain_never_visits(self):
         # The benchmark chain orbits the rho ball and never reaches an
-        # origin-centered operational set, so no regeneration occurs.
+        # origin-centered operational set, so no regeneration occurs, and
+        # the log stops at the horizon instead of extending.
         sys = build_system(1)
         op = operational_minorization(sys.cert)
         log = simulate_regenerative(sys.cl, sys.model, op, 200,
@@ -348,10 +342,23 @@ class TestSimulateRegenerative:
                                     x0=np.array([15.0]), max_extension=200)
         assert log.taus == ()
         assert log.overshoot is None
+        assert len(log.states) == 200
         with pytest.warns(UserWarning):
             est = estimate_reward(log, sys.spec)
         assert est.block_count == 0
         assert est.standard_error is None
+
+    def test_no_extension_without_a_regeneration_by_the_horizon(self):
+        # The chain visits S, but a constant this small never fires: with
+        # no block to close, the log stops at the horizon.
+        sys = contracting_system(1)
+        op = operational_minorization(sys.cert)
+        tiny = dataclasses.replace(op, log_beta=-690.0)
+        log = simulate_regenerative(sys.cl, sys.model, tiny, 500,
+                                    np.random.default_rng(33),
+                                    max_extension=5000)
+        assert np.any(tiny.contains(log.states))
+        assert log.taus == () and len(log.states) == 500
 
     @pytest.mark.parametrize("make, x0", [
         (lambda: contracting_system(2), [1.0, 0.0]),
@@ -359,7 +366,9 @@ class TestSimulateRegenerative:
         (lambda: build_system(10), [0.1] * 10),
     ], ids=["contracting-n2", "never-in-S-n1", "case-n10"])
     def test_states_are_the_plain_chain(self, make, x0):
-        # The split chain's states are simulate's on the same generator.
+        # The split chain's states are simulate's on the same generator:
+        # all 3001 of them, or the first 3000 when no pair regenerated by
+        # the horizon and the log stops there.
         sys = make()
         op = operational_minorization(sys.cert)
         x0 = np.array(x0)
@@ -368,25 +377,32 @@ class TestSimulateRegenerative:
                                     x0=x0, max_extension=100)
         plain = simulate(sys.cl, sys.model, sys.spec, x0, 3001,
                          np.random.default_rng(29)).states
-        assert np.array_equal(log.states[:3001], plain)
+        kept = min(len(log.states), 3001)
+        assert kept >= 3000
+        assert np.array_equal(log.states[:kept], plain[:kept])
 
     def test_divergence_raises(self):
-        # Gain 2 everywhere: the chain overflows before any regeneration,
-        # at the same step whether that lies in the first chunk or in an
-        # extension chunk past a short horizon.
-        model = SldsModel(n=1, p=1, regions=(radial_shell(0.0),),
-                          dynamics=((np.array([[2.0]]), np.zeros((1, 1))),))
+        # Zero dynamics inside radius 2.5 and gain 2 outside: the chain
+        # regenerates in S until it leaves radius 2.5, then overflows, at
+        # the same step whether that lies in the first chunk or in an
+        # extension chunk past a shorter horizon.  The chain regenerates
+        # before that horizon, so it is extended.
+        model = SldsModel(n=1, p=1,
+                          regions=(radial_shell(0.0, 2.5), radial_shell(2.5)),
+                          dynamics=((np.zeros((1, 1)), np.zeros((1, 1))),
+                                    (np.array([[2.0]]), np.zeros((1, 1)))))
         cl = closed_loop(model, Policy(pi=np.zeros((1, 1))))
-        minor = Minorization(n=1, s_radius=0.5, log_beta=-5.0)
+        # beta q(y) = 0.3 <= phi(0.5) <= p(y | x) for x, y in S.
+        minor = Minorization(n=1, s_radius=0.5, log_beta=math.log(0.3))
         steps = []
-        for horizon in (2000, 2):
+        for horizon in (2000, 300):
             with pytest.raises(DivergenceError) as info:
                 simulate_regenerative(cl, model, minor, horizon,
                                       np.random.default_rng(30),
-                                      x0=np.array([1.0]),
+                                      x0=np.array([0.0]),
                                       max_extension=2000)
             steps.append(info.value.step_index)
-        assert steps[0] == steps[1] and 0 < steps[0] < 2000
+        assert steps[0] == steps[1] and 300 < steps[0] < 2000
 
     def test_argument_validation(self):
         sys = contracting_system(1)
@@ -412,12 +428,15 @@ def contracting_log(horizon=20_000, seed=14):
     return sys, log
 
 
+def iid_log(horizon, seed):
+    """i.i.d. N(0, 1) states with every bit 1: each step regenerates."""
+    states = np.random.default_rng(seed).standard_normal(horizon + 1)
+    return RegenerationLog.from_raw(states, np.ones(horizon + 1), horizon)
+
+
 class TestEstimators:
     def test_constant_reward_is_exact(self):
-        sys = zero_system(1)
-        minor = iid_debug_minorization(1)
-        log = simulate_regenerative(sys.cl, sys.model, minor, 500,
-                                    np.random.default_rng(15))
+        log = iid_log(500, seed=15)
         policy = Policy(pi=np.zeros((1, 1)))
         flat = RewardSpec.bind(Q=np.zeros((1, 1)), R=np.eye(1),
                                policy=policy)
@@ -427,9 +446,7 @@ class TestEstimators:
 
     def test_iid_half_normal_mean(self):
         sys = zero_system(1)
-        minor = iid_debug_minorization(1)
-        log = simulate_regenerative(sys.cl, sys.model, minor,
-                                    100_000, np.random.default_rng(16))
+        log = iid_log(100_000, seed=16)
         est = estimate_reward(log, sys.spec)
         target = math.sqrt(2.0 / math.pi)
         assert est.standard_error is not None
@@ -447,10 +464,7 @@ class TestEstimators:
         assert gap < 4 * math.hypot(a.standard_error, b.standard_error)
 
     def test_invariant_prob_iid_oracle(self):
-        sys = zero_system(1)
-        minor = iid_debug_minorization(1)
-        log = simulate_regenerative(sys.cl, sys.model, minor,
-                                    40_000, np.random.default_rng(19))
+        log = iid_log(40_000, seed=19)
         p = estimate_invariant_prob(log, lambda x: abs(x[0]) <= 1.0)
         target = 2 * stats.norm.cdf(1.0) - 1.0
         se = math.sqrt(target * (1 - target) / 40_000)
@@ -477,9 +491,7 @@ class TestEstimators:
 
     def test_sigma2_matches_iid_variance(self):
         sys = zero_system(1)
-        minor = iid_debug_minorization(1)
-        log = simulate_regenerative(sys.cl, sys.model, minor,
-                                    100_000, np.random.default_rng(21))
+        log = iid_log(100_000, seed=21)
         rho = float(np.mean(rewards_of(log.states[:log.horizon],
                                        sys.spec)))
         s2 = estimate_sigma2_as(log, sys.spec, rho_hat=rho)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -750,6 +751,22 @@ class TestSweeps:
         with pytest.raises(NotCertifiable):
             sweep_dimension(cfg)
 
+    def test_write_sweeps_calls_the_module_attribute(self, tmp_path,
+                                                     monkeypatch):
+        # A replaced sweep function (as a tracer installs) is the one run.
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return sweep_gamma(cfg)
+
+        monkeypatch.setattr(sweep_mod, "sweep_gamma", counting)
+        cfg = SweepConfig(gammas=(0.5, 0.9), gamma_dims=(1,), trials=2,
+                          eps_stop=1e-2)
+        sweep_mod.write_sweeps(cfg, ("gamma",), tmp_path)
+        assert calls == [cfg]
+        assert (tmp_path / "gamma_agg.csv").is_file()
+
 
 class TestCsvWriters:
     def test_raw_and_agg_content(self, tmp_path):
@@ -917,3 +934,22 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert "scipy.stats" not in loaded
         assert "scipy.special" not in loaded
+
+    def test_no_module_imports_scipy_stats(self):
+        # The README's dependency claim: no sldsim code loads scipy.stats,
+        # at module level or inside a function.
+        pkg = Path(__file__).resolve().parents[1] / "src" / "sldsim"
+        found = []
+        for path in sorted(pkg.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for name in names
+                          if name == "scipy.stats"
+                          or name.startswith("scipy.stats.")]
+        assert len(list(pkg.glob("*.py"))) >= 9
+        assert found == []
