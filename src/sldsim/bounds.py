@@ -36,8 +36,7 @@ class BoundConstants:
     constants; every default of 1.0 is a working convention, not a
     derived value.  ``o1, o2, o3`` shape the sample-count formula
     ``N = ceil(o1 * (o2 * n + o3 + gamma * |x0|^2) / ((1-gamma) * delta
-    * beta * eps^2))`` and ``leading_c`` scales the headline
-    ``n / ((1-gamma) * delta * beta * eps^2)`` form.
+    * beta * eps^2))``.
     """
 
     c_10as: float = 1.0
@@ -47,11 +46,10 @@ class BoundConstants:
     o1: float = 1.0
     o2: float = 1.0
     o3: float = 1.0
-    leading_c: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("c_10as", "c_1_sq", "c_2as0", "c_2as20",
-                     "o1", "o2", "leading_c"):
+                     "o1", "o2"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive")
@@ -70,14 +68,10 @@ class RequiredSamples:
     ``inf`` when the linear-domain value overflows a double.
     """
 
-    eps: float
-    delta: float
     raw_certified_log: float
     n_certified: float
     raw_operational: float
     n_operational: int
-    omega_certified_log: float
-    omega_operational: float
 
 
 def required_samples(cert: Certificate, eps: float, delta: float,
@@ -123,17 +117,9 @@ def required_samples(cert: Certificate, eps: float, delta: float,
     except OverflowError:
         n_certified = math.inf
 
-    omega_num = consts.leading_c * n
-    omega_certified_log = (math.log(omega_num) - math.log1p(-gamma)
-                       - math.log(delta) - 2.0 * math.log(eps)
-                       - cert.log_beta)
-    omega_op = omega_num / (((1.0 - gamma) * delta) * beta_op * eps_sq)
-
-    return RequiredSamples(eps=eps, delta=delta,
-                           raw_certified_log=raw_certified_log, n_certified=n_certified,
-                           raw_operational=raw_op, n_operational=n_op,
-                           omega_certified_log=omega_certified_log,
-                           omega_operational=omega_op)
+    return RequiredSamples(raw_certified_log=raw_certified_log,
+                           n_certified=n_certified,
+                           raw_operational=raw_op, n_operational=n_op)
 
 
 @dataclass(frozen=True)
@@ -152,7 +138,6 @@ class BoundReport:
 
     n_steps: int
     pi_vhat_bound: float
-    pi_vhat_bound_alt: float
     rbar_vhat_norm_sq_bound: float
     e_x_vhat_bound: float
     term_cross: float
@@ -162,12 +147,6 @@ class BoundReport:
     term_leading_operational: float
     log_term_leading_certified: float
     total_operational: float
-
-    @property
-    def finite_terms(self) -> tuple[float, float, float, float, float]:
-        return (self.term_leading_operational, self.term_cross,
-                self.term_c1_sq, self.term_sigma2_c0,
-                self.term_sigma2_c0_sq)
 
 
 def bound_terms(cert: Certificate, n_steps: int,
@@ -192,7 +171,6 @@ def bound_terms(cert: Certificate, n_steps: int,
     big_n = float(n_steps)
 
     pi_vhat = 1.5 + c * rho_sq / (2.0 * n)
-    pi_vhat_alt = 1.5 * (1.0 + c * rho_sq)
     rbar_sq = 2.0 * n / one_m
     e_x_vhat = pi_vhat + one_m * gamma * x0_norm_sq / (2.0 * n)
 
@@ -223,7 +201,6 @@ def bound_terms(cert: Certificate, n_steps: int,
 
     return BoundReport(n_steps=n_steps,
                        pi_vhat_bound=pi_vhat,
-                       pi_vhat_bound_alt=pi_vhat_alt,
                        rbar_vhat_norm_sq_bound=rbar_sq,
                        e_x_vhat_bound=e_x_vhat,
                        term_cross=term_cross,
@@ -243,7 +220,6 @@ class BoundValidation:
     trials: int
     failures: int
     failure_rate: float
-    delta: float
     threshold: float
     passed: bool
 
@@ -283,5 +259,5 @@ def validate_bound(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     threshold = delta + 2.0 * math.sqrt(delta * (1.0 - delta) / trials)
     return BoundValidation(n_used=n_used, trials=trials,
                            failures=failures, failure_rate=rate,
-                           delta=delta, threshold=threshold,
+                           threshold=threshold,
                            passed=rate <= threshold)

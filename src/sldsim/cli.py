@@ -92,6 +92,8 @@ def _parse_x0(text: str | None, n: int) -> np.ndarray:
         raise ConfigError(f"bad --x0 value: {exc}") from exc
     if x0.shape != (n,):
         raise ConfigError(f"--x0 needs {n} comma-separated numbers")
+    if not np.isfinite(x0).all():
+        raise ConfigError(f"--x0 entries must be finite, got {text}")
     return x0
 
 
@@ -120,8 +122,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         np.random.SeedSequence(_seed(args), spawn_key=(_CERTIFY_TAG,)))
     samples = [sample_in_ball(cfg.model.n, 2.0 * cert.s_radius, rng)
                for _ in range(1000)]
-    report = drift_check(cl, cfg.model, cert, samples,
-                         raise_on_violation=False)
+    report = drift_check(cl, cfg.model, cert, samples)
 
     print(f"contraction rate gamma       {cert.gamma!r}  PASS (< 1)")
     print(f"bounded-class constant c     {cert.c!r}")
@@ -167,6 +168,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    if args.beta_mode == "certified" and args.op_radius is not None:
+        raise ConfigError("--op-radius applies to --beta-mode operational "
+                          "only")
     cfg, cl, cert = _build_certified(args)
     if args.beta_mode == "certified":
         minor = Minorization.from_certificate(cert)
@@ -227,7 +231,7 @@ def _load_constants(path: str | None) -> BoundConstants:
         raise ConfigError("bad constants file: expected an object of numbers")
     try:
         return BoundConstants(**data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad constants file: {exc}") from exc
 
 

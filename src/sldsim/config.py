@@ -60,13 +60,14 @@ def _number(value, what: str) -> float:
 
 
 def _numbers(value, what: str) -> np.ndarray:
-    """Nested lists of JSON numbers as a float array; an entry that is a
-    bool, string, null or object raises."""
+    """Nested lists of finite JSON numbers as a float array; an entry that
+    is a bool, string, null, object, NaN or infinity raises."""
     if isinstance(value, list):
         for entry in value:
             _numbers(entry, what)
-    else:
-        _typed(value, (int, float), f"{what} entries", "numbers")
+    elif not math.isfinite(_typed(value, (int, float), f"{what} entries",
+                                  "numbers")):
+        raise ConfigError(f"{what} entries must be finite, got {value!r}")
     return np.asarray(value, dtype=float)
 
 
@@ -142,7 +143,7 @@ def model_config_from_dict(data: dict) -> ModelConfig:
         rho = _number(data["rho"], "rho")
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid model config: {exc}") from exc
     if not 0.0 < rho < math.inf:
         raise ConfigError(f"rho must be positive and finite, got {rho!r}")

@@ -6,8 +6,8 @@ The certificate machinery verifies two facts about the closed loop:
    chain satisfies ``E[V(x') | x] <= gamma V(x) + K`` where ``gamma`` is the
    worst squared gain among regions reaching outside a ball of radius
    ``rho_ball`` and ``K = n + c rho_ball^2`` absorbs the bounded regions.
-2. A minorization on a compact ball ``S``: ``P(x, .) >= beta nu_hat(.)``
-   for all ``x`` in ``S``, with ``nu_hat`` uniform on ``S`` and ``beta``
+2. A minorization on a compact ball ``S``: ``P(x, .) >= beta nu(.)``
+   for all ``x`` in ``S``, with ``nu`` uniform on ``S`` and ``beta``
    bounded below in closed form through the worst mean displacement.
 
 Together these imply geometric mixing to a unique invariant distribution,
@@ -22,13 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ClassificationConflict,
-    DriftViolation,
-    NotCertifiable,
-    UncoveredExterior,
-)
-from .model import ClosedLoop, SldsModel, region_of
+from .errors import ClassificationConflict, NotCertifiable, UncoveredExterior
+from .model import ClosedLoop, SldsModel, _region_products, _row_dots
 
 GAMMA_FLOOR = 1e-6
 
@@ -65,7 +60,6 @@ class Certificate:
     log_beta : log of the minorization constant on ``S`` (closed form;
         beta itself underflows doubles beyond a few dimensions).
     max_gain : max spectral norm over all regions (not squared).
-    nu_hat : human-readable descriptor of the minorization measure.
     """
 
     n: int
@@ -79,28 +73,16 @@ class Certificate:
     k2: float
     log_beta: float
     max_gain: float
-    nu_hat: str
-
-
-@dataclass(frozen=True)
-class DriftSample:
-    """One drift violation: the state, the attained value, and the bound."""
-
-    x: np.ndarray
-    attained: float
-    bound: float
-    which: str
-
-    def __str__(self) -> str:
-        return (f"{self.which}: attained {self.attained!r} > bound "
-                f"{self.bound!r} at ||x|| = {np.linalg.norm(self.x)!r}")
 
 
 @dataclass(frozen=True)
 class DriftReport:
+    """Drift spot-check outcome; the violation tuples hold the indices of
+    the sample rows that break each inequality."""
+
     num_samples: int
-    quadratic_violations: tuple[DriftSample, ...]
-    scaled_violations: tuple[DriftSample, ...]
+    quadratic_violations: tuple[int, ...]
+    scaled_violations: tuple[int, ...]
     worst_quadratic_margin: float
     worst_scaled_margin: float
 
@@ -174,13 +156,11 @@ def classify_regions(model: SldsModel, rho_ball: float,
 
 
 def certify(cl: ClosedLoop, classification: RegionClassification,
-            rho_ball: float, n: int,
-            lambda_choice: float | None = None) -> Certificate:
+            rho_ball: float, n: int) -> Certificate:
     """Assemble the full certificate, or fail if contraction is violated.
 
-    ``gamma`` must come out below 1 for the exterior regions. ``lam``
-    defaults to the midpoint ``(1 + gamma) / 2`` of the admissible interval
-    (gamma, 1); any value in that interval is accepted.
+    ``gamma`` must come out below 1 for the exterior regions. ``lam`` is
+    the midpoint ``(1 + gamma) / 2`` of the admissible interval (gamma, 1).
 
     Raises
     ------
@@ -206,17 +186,13 @@ def certify(cl: ClosedLoop, classification: RegionClassification,
     gamma_eff = max(gamma, GAMMA_FLOOR)  # the r_hat formula divides by gamma
     r_hat = 2.0 * k / (gamma_eff * (1.0 - gamma_eff))
     s_radius = math.sqrt(2.0 * (n + c * rho_ball ** 2 + 1.0))
-    lam = (1.0 + gamma) / 2.0 if lambda_choice is None else float(lambda_choice)
-    if not (gamma < lam < 1.0):
-        raise ValueError(f"lambda must lie in (gamma, 1) = ({gamma}, 1), "
-                         f"got {lam}")
+    lam = (1.0 + gamma) / 2.0
     k2 = 1.5 + 2.0 * c + c * c * rho_ball ** 2
     log_beta = beta_lower_bound(cl, s_radius, n)
     return Certificate(
         n=n, rho_ball=rho_ball, gamma=gamma, c=c, k=k, r_hat=r_hat,
         s_radius=s_radius, lam=lam, k2=k2, log_beta=log_beta,
         max_gain=max(cl.ahat_norms),
-        nu_hat=f"uniform on the ball of radius {s_radius!r}",
     )
 
 
@@ -250,8 +226,7 @@ def log_ball_volume(n: int, radius: float) -> float:
 
 
 def drift_check(cl: ClosedLoop, model: SldsModel, cert: Certificate,
-                samples: np.ndarray,
-                raise_on_violation: bool = True) -> DriftReport:
+                samples: np.ndarray) -> DriftReport:
     """Check both drift inequalities analytically at each sampled state.
 
     The one-step expectation of ``V(x) = ||x||^2`` is available exactly:
@@ -265,48 +240,37 @@ def drift_check(cl: ClosedLoop, model: SldsModel, cert: Certificate,
         E[Vh(x') | x]  <=  lam Vh(x) + k2 * 1{||x|| <= s_radius}.
 
     The scaled inequality is a strictly stronger requirement; it holds at
-    the certificate's default ``lam`` only when ``2n <= (1 - gamma)
+    the certificate's ``lam`` only when ``2n <= (1 - gamma)
     (n + c rho^2 + 1)``, so high-dimensional models with small offsets can
-    violate it even though the quadratic drift is satisfied. Violations are
-    collected and reported either way.  A violation must exceed the bound
-    by ``_DRIFT_SLACK`` (16 ulps) of it, so rounding at equality is none;
-    worst margins are reported unadjusted.
+    violate it even though the quadratic drift is satisfied. Both are
+    checked in one pass over the sample rows, whose row products equal the
+    per-vector ones bit for bit.  A violation must exceed the bound by
+    ``_DRIFT_SLACK`` (16 ulps) of it, so rounding at equality is none;
+    worst margins are reported unadjusted.  Raises ``ValueError`` unless
+    the samples are rows of length ``n``, and :class:`NoRegion` for a row
+    no region contains.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    x = np.atleast_2d(np.asarray(samples, dtype=float))
     n = cert.n
-    quad_viol: list[DriftSample] = []
-    scaled_viol: list[DriftSample] = []
-    worst_q = -math.inf
-    worst_s = -math.inf
-    for x in samples:
-        j = region_of(model, x)
-        mean_sq = float(np.dot(cl.ahat[j] @ x, cl.ahat[j] @ x))
-        v = float(np.dot(x, x))
-        pv = mean_sq + n
-        bound = cert.gamma * v + cert.k
-        worst_q = max(worst_q, pv - bound)
-        if pv - bound > _DRIFT_SLACK * abs(bound):
-            quad_viol.append(DriftSample(x=x, attained=pv, bound=bound,
-                                         which="quadratic drift"))
-        vh = 1.0 + (1.0 - cert.gamma) * v / (2.0 * n)
-        pvh = 1.0 + (1.0 - cert.gamma) * pv / (2.0 * n)
-        in_s = math.sqrt(v) <= cert.s_radius
-        bound_h = cert.lam * vh + (cert.k2 if in_s else 0.0)
-        worst_s = max(worst_s, pvh - bound_h)
-        if pvh - bound_h > _DRIFT_SLACK * abs(bound_h):
-            scaled_viol.append(DriftSample(x=x, attained=pvh, bound=bound_h,
-                                           which="scaled drift"))
-    report = DriftReport(
-        num_samples=samples.shape[0],
-        quadratic_violations=tuple(quad_viol),
-        scaled_violations=tuple(scaled_viol),
-        worst_quadratic_margin=worst_q,
-        worst_scaled_margin=worst_s,
-    )
-    if raise_on_violation and not report.ok:
-        raise DriftViolation(report.quadratic_violations
-                             + report.scaled_violations)
-    return report
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"samples must be rows of length {n}, "
+                         f"got shape {x.shape}")
+    v = _row_dots(x)
+    norms = np.sqrt(v)
+    j = model.table.find_rows(x, norms)
+    pv = _row_dots(_region_products(cl, x, j)) + n
+    vh = 1.0 + (1.0 - cert.gamma) * v / (2.0 * n)
+    pvh = 1.0 + (1.0 - cert.gamma) * pv / (2.0 * n)
+    k2_in_s = np.where(norms <= cert.s_radius, cert.k2, 0.0)
+    bounds = np.stack([cert.gamma * v + cert.k, cert.lam * vh + k2_in_s])
+    margins = np.stack([pv, pvh]) - bounds
+    quad, scaled = (tuple(np.flatnonzero(over).tolist())
+                    for over in margins > _DRIFT_SLACK * np.abs(bounds))
+    worst_q, worst_s = margins.max(axis=1, initial=-math.inf).tolist()
+    return DriftReport(num_samples=len(x), quadratic_violations=quad,
+                       scaled_violations=scaled,
+                       worst_quadratic_margin=worst_q,
+                       worst_scaled_margin=worst_s)
 
 
 def gaussian_overlap(mu1: np.ndarray, mu2: np.ndarray) -> float:

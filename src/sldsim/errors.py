@@ -57,19 +57,8 @@ class NotCertifiable(SldsimError):
         )
 
 
-class DriftViolation(SldsimError):
-    """A sampled state violated a drift inequality the certificate promises."""
-
-    def __init__(self, violations) -> None:
-        self.violations = violations
-        worst = violations[0]
-        super().__init__(
-            f"{len(violations)} drift violation(s); worst: {worst}"
-        )
-
-
 class MinorizationViolation(SldsimError):
-    """P(x, A) fell below beta * nu_hat(A) for a checked pair."""
+    """P(x, A) fell below beta * nu(A) for a checked pair."""
 
 
 class InsufficientBlocks(SldsimError):

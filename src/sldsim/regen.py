@@ -1,8 +1,8 @@
 """Regenerative (split-chain) simulation and steady-state estimators.
 
-A minorization ``P(x, .) >= beta nu_hat(.)`` for ``x`` in a small set ``S``
+A minorization ``P(x, .) >= beta nu(.)`` for ``x`` in a small set ``S``
 lets each transition out of ``S`` be decomposed as a mixture: with
-probability ``beta`` the next state is drawn from ``nu_hat`` (a
+probability ``beta`` the next state is drawn from ``nu`` (a
 regeneration), otherwise from the residual kernel. Marginally nothing
 changes, but the regeneration times cut the trajectory into i.i.d. blocks,
 which powers unbiased ratio estimators and block-based error bars.  The

@@ -87,8 +87,7 @@ def test_02_drift_exactness() -> None:
     for n in (1, 2, 10):
         s = build_system(n)
         samples = rng.normal(0.0, 2.0 * CASE_RHO, size=(10_000, n))
-        report = drift_check(s.cl, s.model, s.cert, samples,
-                             raise_on_violation=False)
+        report = drift_check(s.cl, s.model, s.cert, samples)
         assert report.num_samples == 10_000
         n_quad += len(report.quadratic_violations)
         n_scaled += len(report.scaled_violations)
@@ -318,8 +317,7 @@ def test_09_bound_scaling_exact_ratios() -> None:
         return Certificate(n=n, rho_ball=1.0, gamma=gamma, c=0.0,
                            k=float(n), r_hat=1.0, s_radius=1.0,
                            lam=(1.0 + gamma) / 2.0, k2=1.0,
-                           log_beta=math.log(0.5), max_gain=1.0,
-                           nu_hat="uniform")
+                           log_beta=math.log(0.5), max_gain=1.0)
 
     def raw(cert: Certificate = toy(), eps: float = 0.5,
             delta: float = 0.25, beta_op: float = 0.5,

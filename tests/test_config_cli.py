@@ -284,6 +284,11 @@ class TestCliSimulate:
                      "--x0", "a,b"]) == 2
         assert main(["simulate", "--config", cfg, "--out", out,
                      "--x0", "1,2"]) == 2
+        for x0 in ("nan", "inf", "-inf"):
+            for n_steps in ("1", "50"):
+                assert main(["simulate", "--config", cfg, "--out", out,
+                             f"--x0={x0}", "--n-steps", n_steps]) == 2
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
 
     def test_divergence_exits_1(self, tmp_path):
         cfg = make_config(tmp_path, gamma_root=3.0, c_root=3.0)
@@ -359,9 +364,16 @@ class TestCliCertify:
         ("readme", lambda d: d["R"][0].__setitem__(0, "1")),
         ("poly4", lambda d: d["regions"][0]["L"][0].__setitem__(0, True)),
         ("poly4", lambda d: d["regions"][0]["C"].__setitem__(0, False)),
+        # Every matrix entry is finite (JSON NaN, Infinity and 1e400 parse).
+        ("readme", lambda d: d["pi"][0].__setitem__(0, math.nan)),
+        ("readme", lambda d: d["pi"][0].__setitem__(0, math.inf)),
+        ("poly4", lambda d: d["regions"][0]["C"].__setitem__(0, math.nan)),
+        ("poly4", lambda d: d["regions"][0]["L"][0].__setitem__(0, math.inf)),
+        ("readme", lambda d: d["A"][1][0].__setitem__(0, 10**400)),
     ], ids=["string-flag", "unknown-key", "float-n", "nan-rho",
             "bool-r_lo", "bool-r_hi", "string-r_lo", "bool-A", "string-B",
-            "bool-pi", "bool-Q", "string-R", "bool-L", "bool-C"])
+            "bool-pi", "bool-Q", "string-R", "bool-L", "bool-C",
+            "nan-pi", "inf-pi", "nan-C", "inf-L", "huge-int-A"])
     def test_misread_config_exits_2(self, base, edit, tmp_path, capsys):
         # "readme" is the README's model config: the n = 1 case study.
         source = (POLY4_JSON if base == "poly4"
@@ -450,6 +462,24 @@ class TestCliEstimate:
         assert summary["log_beta"] == pytest.approx(expect.log_beta,
                                                     rel=1e-13)
 
+    def test_op_radius_with_certified_mode_exits_2(self, tmp_path, capsys):
+        rc = main(["estimate", "--config", str(POLY4_JSON),
+                   "--out", str(tmp_path / "o"), "--beta-mode", "certified",
+                   "--op-radius", "0.01"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--op-radius" in err and err.count("\n") == 1
+        assert not (tmp_path / "o" / "estimate.json").exists()
+
+    @pytest.mark.parametrize("x0", ["nan", "inf"])
+    def test_non_finite_x0_exits_2(self, x0, tmp_path, capsys):
+        cfg = make_config(tmp_path, c_root=CONTRACT_C_ROOT)
+        assert main(["estimate", "--config", cfg,
+                     "--out", str(tmp_path / "o"), "--n-steps", "500",
+                     "--x0", x0]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --x0") and err.count("\n") == 1
+
     def test_given_start_state(self, tmp_path):
         cfg = make_config(tmp_path, c_root=CONTRACT_C_ROOT)
         rc = main(["estimate", "--config", cfg,
@@ -526,11 +556,21 @@ class TestCliBound:
         bad.write_text(json.dumps({"o1": -1.0}))
         assert main(["bound", "--config", cfg, "--out", out,
                      "--constants", str(bad)]) == 2
-        for i, data in enumerate(({"zeta": 1.0}, {"o1": True}, [1.0])):
+        for i, data in enumerate(({"zeta": 1.0}, {"o1": True}, [1.0],
+                                  {"o1": 10**400})):
             misread = tmp_path / f"misread{i}.json"
             misread.write_text(json.dumps(data))
             assert main(["bound", "--config", cfg, "--out", out,
                          "--constants", str(misread)]) == 2
+
+    def test_leading_c_is_an_unknown_constant(self, tmp_path, capsys):
+        cfg = make_config(tmp_path)
+        consts = tmp_path / "consts.json"
+        consts.write_text(json.dumps({"o1": 2.0, "leading_c": 1.0}))
+        assert main(["bound", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--constants", str(consts)]) == 2
+        err = capsys.readouterr().err
+        assert "leading_c" in err and err.count("\n") == 1
 
 
 class TestCliSweeps:

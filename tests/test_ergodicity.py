@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +12,19 @@ from scipy import integrate, stats
 
 from sldsim import (
     ClassificationConflict,
-    DriftViolation,
     NotCertifiable,
     Policy,
     Region,
     SldsModel,
     UncoveredExterior,
     beta_lower_bound,
+    build_case_study,
     certify,
     classify_regions,
     closed_loop,
     drift_check,
     gaussian_overlap,
+    load_model_config,
     log_ball_volume,
     log_gaussian_overlap,
     polyhedron,
@@ -30,9 +32,11 @@ from sldsim import (
     region_of,
     sample_in_ball,
 )
-from sldsim.ergodicity import GAMMA_FLOOR
+from sldsim.ergodicity import _DRIFT_SLACK, GAMMA_FLOOR
 
 from conftest import CASE_RHO, build_system, poly4, zero_system
+
+POLY4_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "poly4.json"
 
 
 class TestClassifyRegions:
@@ -141,14 +145,6 @@ class TestCertify:
         with pytest.raises(ValueError, match="dimension 1"):
             certify(sys.cl, cls_, CASE_RHO, 5)
 
-    def test_lambda_choice_validated(self):
-        sys = build_system(1)
-        cls_ = classify_regions(sys.model, CASE_RHO)
-        with pytest.raises(ValueError):
-            certify(sys.cl, cls_, CASE_RHO, 1, lambda_choice=0.5)
-        cert = certify(sys.cl, cls_, CASE_RHO, 1, lambda_choice=0.99)
-        assert cert.lam == 0.99
-
 
 class TestBetaLowerBound:
     def test_closed_form(self):
@@ -226,18 +222,23 @@ class TestDriftCheck:
         radius = 0.5 * (sys.cert.s_radius + lim)
         dirs = rng.standard_normal((200, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        report = drift_check(sys.cl, sys.model, sys.cert, radius * dirs,
-                             raise_on_violation=False)
+        report = drift_check(sys.cl, sys.model, sys.cert, radius * dirs)
         assert not report.quadratic_violations
         assert len(report.scaled_violations) == 200
 
-    def test_violation_raises_with_samples_attached(self):
+    def test_violation_is_reported_by_row(self):
         sys = build_system(1)
         doctored = dataclasses.replace(sys.cert, gamma=0.5, k=1.0)
-        with pytest.raises(DriftViolation) as info:
-            drift_check(sys.cl, sys.model, doctored,
-                        np.array([[50.0]]))
-        assert len(info.value.violations) >= 1
+        report = drift_check(sys.cl, sys.model, doctored,
+                             np.array([[50.0]]))
+        assert not report.ok
+        assert report.quadratic_violations == (0,)
+
+    def test_samples_must_be_rows_of_length_n(self):
+        sys = build_system(2)
+        for bad in (np.zeros((3, 3)), np.zeros(5), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="rows of length 2"):
+                drift_check(sys.cl, sys.model, sys.cert, bad)
 
     @staticmethod
     def rotated_poly4():
@@ -254,7 +255,7 @@ class TestDriftCheck:
 
     def test_rounding_at_equality_is_no_violation(self):
         model, cl, cert, xs = self.rotated_poly4()
-        report = drift_check(cl, model, cert, xs, raise_on_violation=False)
+        report = drift_check(cl, model, cert, xs)
         assert not report.quadratic_violations
         # Rounding does put the attained side above the bound, by ulps.
         assert 0.0 < report.worst_quadratic_margin < 1e-13
@@ -263,19 +264,111 @@ class TestDriftCheck:
         model, cl, cert, xs = self.rotated_poly4()
         shrunk = dataclasses.replace(cert, gamma=cert.gamma * (1 - 1e-9),
                                      k=cert.k * (1 - 1e-9))
-        report = drift_check(cl, model, shrunk, xs, raise_on_violation=False)
+        report = drift_check(cl, model, shrunk, xs)
         in_worst = sum(region_of(model, x) == 3 for x in xs)
         assert len(report.quadratic_violations) == in_worst > 0
 
     def test_exactness_against_manual_expectation(self):
         sys = build_system(2)
         x = np.array([3.0, -4.0])
-        report = drift_check(sys.cl, sys.model, sys.cert, x,
-                             raise_on_violation=False)
+        report = drift_check(sys.cl, sys.model, sys.cert, x)
         j = region_of(sys.model, x)
         pv = float(np.dot(sys.cl.ahat[j] @ x, sys.cl.ahat[j] @ x)) + 2
         bound = sys.cert.gamma * 25.0 + sys.cert.k
         assert report.worst_quadratic_margin == pytest.approx(pv - bound)
+
+
+def per_state_drift(cl, model, cert, samples):
+    """The per-state drift loop :func:`drift_check` replaced, kept as its
+    oracle: violation rows and worst margins of both inequalities."""
+    n = cert.n
+    quad, scaled = [], []
+    worst_q = worst_s = -math.inf
+    for row, x in enumerate(samples):
+        j = region_of(model, x)
+        mean_sq = float(np.dot(cl.ahat[j] @ x, cl.ahat[j] @ x))
+        v = float(np.dot(x, x))
+        pv = mean_sq + n
+        bound = cert.gamma * v + cert.k
+        worst_q = max(worst_q, pv - bound)
+        if pv - bound > _DRIFT_SLACK * abs(bound):
+            quad.append(row)
+        vh = 1.0 + (1.0 - cert.gamma) * v / (2.0 * n)
+        pvh = 1.0 + (1.0 - cert.gamma) * pv / (2.0 * n)
+        in_s = math.sqrt(v) <= cert.s_radius
+        bound_h = cert.lam * vh + (cert.k2 if in_s else 0.0)
+        worst_s = max(worst_s, pvh - bound_h)
+        if pvh - bound_h > _DRIFT_SLACK * abs(bound_h):
+            scaled.append(row)
+    return tuple(quad), tuple(scaled), worst_q, worst_s
+
+
+def spread_states(rng, n, radius, rows):
+    """Rows at uniform radii in [0, radius] on random directions, with
+    the origin and states on the unit axes at radius CASE_RHO, the
+    case study's region boundary."""
+    dirs = rng.standard_normal((rows, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    xs = dirs * (radius * rng.random(rows))[:, None]
+    xs[0] = 0.0
+    xs[1:1 + n] = CASE_RHO * np.eye(n)
+    return xs
+
+
+def drift_cases():
+    for n in (1, 2, 10, 50, 200):
+        for gain in (0.5, 0.9):
+            for shrunk in (False, True):
+                yield pytest.param(n, gain, shrunk,
+                                   id=f"n{n}-g{gain}-"
+                                      f"{'shrunk' if shrunk else 'cert'}")
+
+
+class TestDriftRowPass:
+    """:func:`drift_check` against the per-state loop it replaced: the
+    same violation rows and the same worst margins, compared with ``==``."""
+
+    @staticmethod
+    def assert_matches_oracle(cl, model, cert, xs):
+        report = drift_check(cl, model, cert, xs)
+        quad, scaled, worst_q, worst_s = per_state_drift(cl, model, cert, xs)
+        assert report.quadratic_violations == quad
+        assert report.scaled_violations == scaled
+        assert report.worst_quadratic_margin == worst_q
+        assert report.worst_scaled_margin == worst_s
+        assert report.num_samples == len(xs)
+        return report
+
+    @pytest.mark.parametrize("n, gain, shrunk", drift_cases())
+    def test_case_study(self, n, gain, shrunk):
+        model, policy, _ = build_case_study(n, gain, 2.0, CASE_RHO)
+        cl = closed_loop(model, policy)
+        cert = certify(cl, classify_regions(model, CASE_RHO), CASE_RHO, n)
+        if shrunk:
+            cert = dataclasses.replace(cert, gamma=cert.gamma / 2.0)
+        rng = np.random.default_rng(1000 * n + int(10 * gain))
+        xs = spread_states(rng, n, 3.0 * cert.s_radius, 1000)
+        report = self.assert_matches_oracle(cl, model, cert, xs)
+        # The certified quadratic drift holds; the halved gamma breaks it.
+        assert bool(report.quadratic_violations) == shrunk
+
+    def test_poly4_config(self):
+        cfg = load_model_config(POLY4_JSON)
+        cl = closed_loop(cfg.model, cfg.policy)
+        cert = certify(cl, classify_regions(cfg.model, cfg.rho_ball),
+                       cfg.rho_ball, 2)
+        rng = np.random.default_rng(11)
+        xs = spread_states(rng, 2, 3.0 * cert.s_radius, 5000)
+        xs[-1000:, rng.integers(0, 2, 1000)] = 0.0   # ties on the axes
+        self.assert_matches_oracle(cl, cfg.model, cert, xs)
+
+    def test_equality_holds_on_rotated_poly4(self):
+        model, cl, cert, xs = TestDriftCheck.rotated_poly4()
+        self.assert_matches_oracle(cl, model, cert, xs)
+        shrunk = dataclasses.replace(cert, gamma=cert.gamma * (1 - 1e-9),
+                                     k=cert.k * (1 - 1e-9))
+        report = self.assert_matches_oracle(cl, model, shrunk, xs)
+        assert report.quadratic_violations
 
 
 class TestGaussianOverlap:

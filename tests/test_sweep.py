@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -953,3 +954,25 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
                           or name.startswith("scipy.stats.")]
         assert len(list(pkg.glob("*.py"))) >= 9
         assert found == []
+
+
+class TestExportList:
+    def test_all_is_the_imported_public_surface(self):
+        # ``from sldsim import *`` breaks on a dangling entry, and a name
+        # left out of ``__all__`` is missing from it silently.
+        import sldsim
+
+        init = Path(sldsim.__file__).read_text()
+        imported = [a.asname or a.name for node in ast.walk(ast.parse(init))
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for a in node.names]
+        names = sldsim.__all__
+        assert len(names) == len(set(names))
+        assert all(hasattr(sldsim, name) for name in names)
+        assert all(inspect.isfunction(getattr(sldsim, name))
+                   or inspect.isclass(getattr(sldsim, name))
+                   for name in imported)
+        assert sorted(names) == sorted(imported + ["__version__"])
+        namespace = {}
+        exec("from sldsim import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(names)
