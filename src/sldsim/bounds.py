@@ -74,6 +74,16 @@ class RequiredSamples:
     n_operational: int
 
 
+def _operational_beta(cert: Certificate, beta_op: float | None) -> float:
+    """``beta_op``, by default the operational constant of ``cert``;
+    raises ``ValueError`` unless it lies in (0, 1] (NaN does not)."""
+    if beta_op is None:
+        beta_op = math.exp(operational_minorization(cert).log_beta)
+    if not (0 < beta_op <= 1):
+        raise ValueError("beta_op must lie in (0, 1]")
+    return beta_op
+
+
 def required_samples(cert: Certificate, eps: float, delta: float,
                      x0_norm_sq: float = 0.0,
                      consts: BoundConstants | None = None,
@@ -95,10 +105,7 @@ def required_samples(cert: Certificate, eps: float, delta: float,
         raise ValueError("delta must lie in (0, 1)")
     if x0_norm_sq < 0:
         raise ValueError("x0_norm_sq must be nonnegative")
-    if beta_op is None:
-        beta_op = math.exp(operational_minorization(cert).log_beta)
-    if not (0 < beta_op <= 1):
-        raise ValueError("beta_op must lie in (0, 1]")
+    beta_op = _operational_beta(cert, beta_op)
 
     n = cert.n
     gamma = cert.gamma
@@ -160,8 +167,7 @@ def bound_terms(cert: Certificate, n_steps: int,
         raise ValueError("n_steps must be at least 1")
     if x0_norm_sq < 0:
         raise ValueError("x0_norm_sq must be nonnegative")
-    if beta_op is None:
-        beta_op = math.exp(operational_minorization(cert).log_beta)
+    beta_op = _operational_beta(cert, beta_op)
 
     n = float(cert.n)
     gamma = cert.gamma

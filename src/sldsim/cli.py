@@ -150,10 +150,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     path = out / "certificate.json"
     payload = {
-        "n": cert.n, "rho_ball": cert.rho_ball, "gamma": cert.gamma,
-        "c": cert.c, "k": cert.k, "r_hat": cert.r_hat,
-        "s_radius": cert.s_radius, "lambda": cert.lam, "k2": cert.k2,
-        "log_beta": cert.log_beta, "max_gain": cert.max_gain,
+        **{"lambda" if key == "lam" else key: value
+           for key, value in dataclasses.asdict(cert).items()},
         "operational": {"radius": op.s_radius, "log_beta": op.log_beta,
                         "beta": math.exp(op.log_beta)},
         "drift_spot_check": {

@@ -98,16 +98,18 @@ def classify_regions(model: SldsModel, rho_ball: float,
 
     Radial shells are decided analytically from their outer radius. For a
     polyhedral region the ``declared_unbounded`` flag decides, and the flag
-    is cross-checked by probing membership along random directions at two
-    radii just outside the ball and far away. The probe catches
-    misdeclarations with high probability but can false-alarm on regions
-    whose exterior part subtends a very small solid angle; raise
-    ``n_directions`` in that case.
+    is cross-checked by asking whether some ray along a random direction
+    meets the region just outside the ball or beyond (exact along each
+    ray).  A region whose exterior part subtends a very small solid angle
+    can go unseen: a false alarm when it is declared unbounded, an
+    accepted misdeclaration when it is declared bounded; raise
+    ``n_directions`` then.
 
     Raises
     ------
     ClassificationConflict
-        A declared flag contradicts the directional probe.
+        A declared flag contradicts the directional probe; the first
+        conflicting region in declaration order is reported.
     UncoveredExterior
         No region claims any point outside the ball.
     """
@@ -115,9 +117,8 @@ def classify_regions(model: SldsModel, rho_ball: float,
         raise ValueError("rho_ball must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
-    dirs = None     # drawn at the first polyhedral region
+    probe = None     # run at the first polyhedral region
     near = rho_ball * (1.0 + 1e-9) + 1e-9
-    far = max(1e6, 1e3 * rho_ball)
 
     unbounded: list[int] = []
     bounded: list[int] = []
@@ -132,11 +133,12 @@ def classify_regions(model: SldsModel, rho_ball: float,
                        f"{'reaches' if reaches else 'does not reach'} "
                        f"outside radius {rho_ball}")
         else:
-            if dirs is None:
+            if probe is None:
                 dirs = rng.standard_normal((n_directions, model.n))
                 dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            hit = any(region.contains(near * u) or region.contains(far * u)
-                      for u in dirs)
+                probe = dict(zip(model.table.poly_ids,
+                                 model.table.rays_reach(dirs, near).tolist()))
+            hit = probe[j]
             declared = bool(region.declared_unbounded)
             if declared != hit:
                 raise ClassificationConflict(
@@ -217,12 +219,10 @@ def beta_lower_bound(cl: ClosedLoop, s_radius: float, n: int) -> float:
 
 def log_ball_volume(n: int, radius: float) -> float:
     """Log Lebesgue volume of the n-ball of the given radius."""
-    from scipy.special import gammaln
-
     if radius <= 0:
         return -math.inf
     return (n / 2.0) * math.log(math.pi) + n * math.log(radius) \
-        - gammaln(n / 2.0 + 1.0)
+        - math.lgamma(n / 2.0 + 1.0)
 
 
 def drift_check(cl: ClosedLoop, model: SldsModel, cert: Certificate,

@@ -89,15 +89,6 @@ class Region:
         else:
             raise ValueError(f"unknown region kind {self.kind!r}")
 
-    def contains(self, x: np.ndarray) -> bool:
-        """Deterministic membership test; boundaries per declared convention."""
-        if self.kind == "radial":
-            r = float(np.linalg.norm(x))
-            if self.r_lo == 0.0:
-                return r <= self.r_hi
-            return self.r_lo < r <= self.r_hi
-        return bool(np.all(self.L @ x <= self.C))
-
 
 def radial_shell(r_lo: float, r_hi: float = math.inf) -> Region:
     """Convenience constructor for a radial shell region."""
@@ -132,18 +123,16 @@ def _row_products(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 class RegionTable:
-    """The regions compiled for lookup by the rule of
-    :meth:`Region.contains`; the first declared region wins.
+    """The regions compiled for lookup, the one membership code; the first
+    declared region wins.
 
     Shell radii cut the radius axis into pieces ``r == 0``, ``(breaks[k-1],
     breaks[k]]`` up to ``inf``, and NaN; ``owners[k]`` is the first shell
     holding piece ``k``, or ``none`` (the region count).  Polyhedra are
     stacked into ``L`` and ``C``, rows ``starts[i]`` on for region
     ``poly_ids[i]``.  A state's region is the lower of its shell owner and
-    its first polyhedral match.  A stacked product can differ from one
-    region's in the last bit, so within an ulp of a slanted face a state
-    may resolve otherwise than ``Region.contains``; :meth:`find` and
-    :meth:`find_rows` always agree.
+    its first polyhedral match; :meth:`find` and :meth:`find_rows` always
+    agree.
     """
 
     def __init__(self, regions: tuple[Region, ...]) -> None:
@@ -193,6 +182,19 @@ class RegionTable:
         if missing.any():
             raise NoRegion(x[np.argmax(missing)])
         return j
+
+    def rays_reach(self, dirs: np.ndarray, r: float) -> np.ndarray:
+        """For each polyhedron, in ``poly_ids`` order, whether a ray ``t
+        u`` (``t >= 0``, ``u`` a row of ``dirs``) meets it at a ``t >= r``;
+        exact along each ray, where a polyhedron is an interval of ``t``."""
+        a = dirs @ self.L.T
+        t = np.divide(self.C, a, out=np.zeros_like(a), where=a != 0)
+        lo = np.where(a < 0, t, -math.inf)
+        hi = np.where(a > 0, t, math.inf)
+        hi[(a == 0) & (self.C < 0)] = -math.inf     # a parallel face: no t
+        lo = np.maximum.reduceat(lo, self.starts, axis=1)
+        hi = np.minimum.reduceat(hi, self.starts, axis=1)
+        return (hi >= np.maximum(lo, r)).any(axis=0)
 
 
 @dataclass(frozen=True)

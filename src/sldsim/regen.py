@@ -103,19 +103,8 @@ def operational_minorization(cert: Certificate,
         raise ValueError("radius must be positive")
     d = radius * (1.0 + cert.max_gain)
     log_beta = (-(cert.n / 2.0) * LOG_2PI - 0.5 * d * d
-                + _log_volume_below_one(cert.n, radius))
+                + min(0.0, log_ball_volume(cert.n, radius)))
     return Minorization(n=cert.n, s_radius=radius, log_beta=log_beta)
-
-
-def _log_volume_below_one(n: int, radius: float) -> float:
-    """``min(0, log_ball_volume(n, radius))``.  ``math.lgamma`` is
-    ``gammaln`` to within a few ulps, so a ball whose volume it puts
-    clearly above 1 gives 0 without loading ``scipy.special``."""
-    terms = ((n / 2.0) * math.log(math.pi), n * math.log(radius),
-             math.lgamma(n / 2.0 + 1.0))
-    if terms[0] + terms[1] - terms[2] > 1e-9 * (1.0 + sum(map(abs, terms))):
-        return 0.0
-    return min(0.0, log_ball_volume(n, radius))
 
 
 def check_minorization_pointwise(cl: ClosedLoop, model: SldsModel,

@@ -237,7 +237,7 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
     if x.shape != (model.n,):
         raise ValueError(f"x0 must have shape ({model.n},)")
     table = model.table
-    if (model.n == 1 and spec.p_hat_is_identity and table.L is None
+    if (model.n == 1 and spec.p_hat_is_identity and not table.poly_ids
             and table.none not in table.owners[:-1]):
         gains = [float(cl.ahat[j][0, 0]) for j in table.owners[:-1]]
         return _scalar_reference(gains, table.breaks, float(x[0]), n_steps,

@@ -49,6 +49,18 @@ class System(NamedTuple):
     cert: Certificate
 
 
+def region_contains(region, x) -> bool:
+    """Whether ``region`` holds the state ``x``, by the per-region rule
+    that the package's ``Region.contains`` used to apply; the oracle of
+    the region table and of the classification probe."""
+    if region.kind == "radial":
+        r = float(np.linalg.norm(x))
+        if region.r_lo == 0.0:
+            return r <= region.r_hi
+        return region.r_lo < r <= region.r_hi
+    return bool(np.all(region.L @ x <= region.C))
+
+
 def build_system(n: int, gamma_root: float = CASE_GAMMA_ROOT,
                  c_root: float = CASE_C_ROOT,
                  rho: float = CASE_RHO) -> System:

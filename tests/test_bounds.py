@@ -200,6 +200,19 @@ class TestBoundTerms:
         with pytest.raises(ValueError):
             bound_terms(sys.cert, n_steps=100, x0_norm_sq=-0.5)
 
+    def test_beta_op_outside_unit_interval_is_refused(self):
+        # Both functions check a passed-in beta_op the same way: zero used
+        # to divide by zero in bound_terms, and 2, -1 or NaN gave a total.
+        sys = build_system(1)
+        for bad in (0.0, 2.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="beta_op"):
+                bound_terms(sys.cert, 100, beta_op=bad)
+            with pytest.raises(ValueError, match="beta_op"):
+                required_samples(sys.cert, 0.5, 0.2, beta_op=bad)
+        assert bound_terms(sys.cert, 100, beta_op=1.0).total_operational > 0
+        assert bound_terms(sys.cert, 100).total_operational == \
+            bound_terms(sys.cert, 100, beta_op=BETA_OP).total_operational
+
 
 class TestValidateBound:
     def test_loose_epsilon_passes(self):

@@ -347,6 +347,22 @@ class TestCliCertify:
         assert spot["quadratic_violations"] == 0
         assert spot["scaled_violations"] == 0
 
+    def test_certificate_json_leads_with_the_certificate_fields(self,
+                                                                tmp_path):
+        # The Certificate fields in declaration order, lam written as
+        # "lambda", then the operational pair and the drift spot check.
+        out = tmp_path / "out"
+        assert main(["certify", "--config", make_config(tmp_path),
+                     "--out", str(out)]) == 0
+        data = json.loads((out / "certificate.json").read_text())
+        assert list(data.items())[:11] == [
+            ("n", 1), ("rho_ball", 10.0), ("gamma", 0.81), ("c", 4.0),
+            ("k", 401.0), ("r_hat", 5211.176088369072),
+            ("s_radius", 28.35489375751565), ("lambda", 0.905),
+            ("k2", 1609.5), ("log_beta", -3618.9189385332047),
+            ("max_gain", 2.0)]
+        assert list(data)[11:] == ["operational", "drift_spot_check"]
+
     @pytest.mark.parametrize("base, edit", [
         ("poly4", lambda d: d["regions"][0].update(
             declared_unbounded="false")),

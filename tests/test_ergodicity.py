@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from sldsim import (
     ClassificationConflict,
@@ -34,7 +34,8 @@ from sldsim import (
 )
 from sldsim.ergodicity import _DRIFT_SLACK, GAMMA_FLOOR
 
-from conftest import CASE_RHO, build_system, poly4, zero_system
+from conftest import (CASE_RHO, build_system, poly4, region_contains,
+                      zero_system)
 
 POLY4_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "poly4.json"
 
@@ -95,6 +96,185 @@ class TestClassifyRegions:
         sys = build_system(1)
         with pytest.raises(ValueError):
             classify_regions(sys.model, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_box_outside_the_ball_is_not_bounded(self, n):
+        # The box lies between the two radii the former probe sampled, so
+        # it passed as bounded: certify then gave gamma = 0.25 and c = 25,
+        # and the drift inequality failed at x = 11.5.
+        with pytest.raises(ClassificationConflict) as info:
+            classify_regions(exterior_box(n, declared_unbounded=False), 10.0)
+        assert info.value.region_index == 0
+
+    def test_box_outside_the_ball_declared_unbounded_is_not_certifiable(self):
+        model = exterior_box(1, declared_unbounded=True)
+        cls_ = classify_regions(model, 10.0)
+        assert cls_.unbounded_set == (0, 1)
+        cl = closed_loop(model, Policy(pi=np.zeros((1, 1))))
+        with pytest.raises(NotCertifiable) as info:
+            certify(cl, cls_, 10.0, 1)
+        assert info.value.region_index == 0
+        assert info.value.gamma == pytest.approx(25.0)
+
+
+def exterior_box(n, declared_unbounded):
+    """The box ``[11, 12] x [-1, 1]^(n - 1)`` with gain 5, wholly outside
+    the ball of radius 10, then the whole space with gain 0.5."""
+    L = np.vstack([np.eye(n), -np.eye(n)])
+    C = np.r_[12.0, np.ones(n - 1), -11.0, np.ones(n - 1)]
+    return SldsModel(
+        n=n, p=1,
+        regions=(polyhedron(L, C, declared_unbounded), radial_shell(0.0)),
+        dynamics=((5.0 * np.eye(n), np.zeros((n, 1))),
+                  (0.5 * np.eye(n), np.zeros((n, 1)))))
+
+
+def classify_oracle(model, rho_ball, rng, n_directions=1000):
+    """The two-radius probe :func:`classify_regions` used before the ray
+    probe, kept as its oracle: a polyhedron reaches outside the ball if
+    it holds a point at one of two radii along some direction, just
+    outside the ball or far away.  Returns the classification, the index
+    of the first conflicting region, or ``"uncovered"``."""
+    dirs = None
+    near = rho_ball * (1.0 + 1e-9) + 1e-9
+    far = max(1e6, 1e3 * rho_ball)
+    unbounded, bounded = [], []
+    for j, region in enumerate(model.regions):
+        if region.kind == "radial":
+            reaches = region.r_hi > rho_ball
+            if region.declared_unbounded is not None and \
+                    region.declared_unbounded != reaches:
+                return j
+        else:
+            if dirs is None:
+                dirs = rng.standard_normal((n_directions, model.n))
+                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            hit = any(region_contains(region, near * u)
+                      or region_contains(region, far * u) for u in dirs)
+            reaches = bool(region.declared_unbounded)
+            if reaches != hit:
+                return j
+        (unbounded if reaches else bounded).append(j)
+    if not unbounded:
+        return "uncovered"
+    return (tuple(unbounded), tuple(bounded))
+
+
+def classify_outcome(model, rho_ball, rng):
+    """:func:`classify_regions` in the oracle's terms."""
+    try:
+        cls_ = classify_regions(model, rho_ball, rng)
+    except ClassificationConflict as exc:
+        return exc.region_index
+    except UncoveredExterior:
+        return "uncovered"
+    return (cls_.unbounded_set, cls_.bounded_set)
+
+
+def with_flags(model, flags):
+    """``model`` with its polyhedra's ``declared_unbounded`` replaced, in
+    order, by ``flags``."""
+    flags = iter(flags)
+    regions = tuple(
+        polyhedron(r.L, r.C, next(flags)) if r.kind == "polyhedral" else r
+        for r in model.regions)
+    return SldsModel(n=model.n, p=model.p, regions=regions,
+                     dynamics=model.dynamics)
+
+
+def probe_models(n):
+    """Models on which the two-radius oracle is right: every polyhedron
+    either stays inside radius 10 or reaches infinity along a cone of
+    directions, declared truthfully."""
+    rng = np.random.default_rng(40 + n)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    eye = np.eye(n)
+    box = np.vstack([eye, -eye])
+    models = {
+        "half-plane pair": (polyhedron([v], [0.0], True),
+                            polyhedron([-v], [0.0], True)),
+        "offset half-planes": (polyhedron([v], [-3.0], True),
+                               polyhedron([-v], [3.0], True)),
+        "orthant cone": (polyhedron(-eye, np.zeros(n), True),
+                         radial_shell(0.0)),
+        "random cone": (polyhedron(rng.standard_normal((n, n)),
+                                   np.zeros(n), True),
+                        polyhedron(v[None, :], [0.0], True),
+                        radial_shell(0.0)),
+        "boxes inside the ball": (polyhedron(box, np.ones(2 * n), False),
+                                  polyhedron(box, np.r_[4.0 * np.ones(n),
+                                                        -2.0 * np.ones(n)],
+                                             False),
+                                  radial_shell(0.0)),
+        "overlapping polyhedra": (polyhedron(box, 2.0 * np.ones(2 * n),
+                                             False),
+                                  polyhedron([v], [1.0], True),
+                                  polyhedron([-v], [1.0], True)),
+    }
+    if n == 2:
+        models["poly4"] = poly4()[0].regions
+        models["poly4.json"] = load_model_config(POLY4_JSON).model.regions
+    return {name: SldsModel(n=n, p=1, regions=regions,
+                            dynamics=((0.5 * eye, np.zeros((n, 1))),)
+                            * len(regions))
+            for name, regions in models.items()}
+
+
+class TestClassifyProbeOracle:
+    """The ray probe against the two-radius probe it replaced: the same
+    classifications, the same first conflict and the same draws from a
+    passed-in generator, wherever the two-radius probe is right."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_oracle(self, n):
+        for name, model in probe_models(n).items():
+            n_poly = len(model.table.poly_ids)
+            truth = [r.declared_unbounded for r in model.regions
+                     if r.kind == "polyhedral"]
+            # The truthful flags, then each flag flipped in turn.
+            variants = [truth] + [
+                [f != (i == k) for i, f in enumerate(truth)]
+                for k in range(n_poly)]
+            for seed, flags in enumerate(variants):
+                m = with_flags(model, flags)
+                ours, theirs = (np.random.default_rng(seed),
+                                np.random.default_rng(seed))
+                got = classify_outcome(m, 10.0, ours)
+                want = classify_oracle(m, 10.0, theirs)
+                assert got == want, (name, flags)
+                assert ours.standard_normal(3).tolist() == \
+                    theirs.standard_normal(3).tolist()
+                if seed == 0:
+                    assert not isinstance(want, int), name
+
+    def test_radial_conflict_before_any_draw(self):
+        # The first conflict is a shell declared before every polyhedron:
+        # neither probe draws a direction.
+        model = SldsModel(
+            n=2, p=1,
+            regions=(Region(kind="radial", r_lo=0.0, r_hi=5.0,
+                            declared_unbounded=True),
+                     polyhedron([[1.0, 0.0]], [0.0], False)),
+            dynamics=((np.eye(2), np.zeros((2, 1))),) * 2)
+        ours, theirs, fresh = (np.random.default_rng(9) for _ in range(3))
+        assert classify_outcome(model, 10.0, ours) == 0
+        assert classify_oracle(model, 10.0, theirs) == 0
+        assert ours.random() == theirs.random() == fresh.random()
+
+    def test_default_generator(self):
+        model = poly4()[0]
+        assert classify_outcome(model, 10.0, None) == \
+            classify_oracle(model, 10.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_oracle_misses_the_exterior_box(self, n):
+        # Where the two radii straddle the box the oracle is wrong: it
+        # accepts the box as bounded, and the ray probe does not.
+        model = exterior_box(n, declared_unbounded=False)
+        assert classify_oracle(model, 10.0, np.random.default_rng(0)) == \
+            ((1,), (0,))
+        assert classify_outcome(model, 10.0, np.random.default_rng(0)) == 0
 
 
 class TestCertify:
@@ -422,6 +602,17 @@ class TestBallVolume:
         assert log_ball_volume(3, 1.5) == pytest.approx(
             math.log(4.0 / 3.0 * math.pi * 1.5 ** 3))
         assert log_ball_volume(2, 0.0) == -math.inf
+
+    def test_matches_the_gammaln_form(self):
+        # math.lgamma keeps scipy.special off the volume's path; it is
+        # scipy's gammaln to within 12 ulps for every n up to 2,000.
+        for n in range(1, 2001):
+            for r in (1e-3, 2.0 / 3.0, 1.0, 2.5):
+                terms = ((n / 2.0) * math.log(math.pi), n * math.log(r),
+                         float(special.gammaln(n / 2.0 + 1.0)))
+                assert abs(log_ball_volume(n, r)
+                           - (terms[0] + terms[1] - terms[2])) <= \
+                    16 * np.spacing(max(map(abs, terms)))
 
 
 class TestSampleInBall:

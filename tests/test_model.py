@@ -27,7 +27,8 @@ from sldsim import (
 
 from sldsim.model import _row_norms
 
-from conftest import CASE_RHO, build_system, dense_shells, poly4
+from conftest import (CASE_RHO, build_system, dense_shells, poly4,
+                      region_contains)
 
 
 def one_region_system(gain: float, n: int = 1):
@@ -44,10 +45,14 @@ class TestRegion:
         outer = radial_shell(10.0, math.inf)
         # r = 10 belongs to the inner shell (closed at its top), not the
         # outer one (open at its bottom).
-        assert inner.contains(np.array([10.0]))
-        assert not outer.contains(np.array([10.0]))
-        assert outer.contains(np.array([10.0 + 1e-12]))
-        assert inner.contains(np.zeros(1))
+        assert region_contains(inner, np.array([10.0]))
+        assert not region_contains(outer, np.array([10.0]))
+        assert region_contains(outer, np.array([10.0 + 1e-12]))
+        assert region_contains(inner, np.zeros(1))
+        model = unit_model(outer, inner)        # n = 2, outer first
+        assert region_of(model, np.array([10.0, 0.0])) == 1
+        assert region_of(model, np.array([10.0 + 1e-12, 0.0])) == 0
+        assert region_of(model, np.zeros(2)) == 1
 
     def test_radial_validation(self):
         with pytest.raises(ValueError):
@@ -59,9 +64,13 @@ class TestRegion:
 
     def test_polyhedral_membership(self):
         half = polyhedron(L=[[1.0, 0.0]], C=[0.0], declared_unbounded=True)
-        assert half.contains(np.array([-1.0, 5.0]))
-        assert half.contains(np.array([0.0, 0.0]))
-        assert not half.contains(np.array([0.1, 0.0]))
+        assert region_contains(half, np.array([-1.0, 5.0]))
+        assert region_contains(half, np.array([0.0, 0.0]))
+        assert not region_contains(half, np.array([0.1, 0.0]))
+        model = unit_model(half, radial_shell(0.0))
+        assert region_of(model, np.array([-1.0, 5.0])) == 0
+        assert region_of(model, np.array([0.0, 0.0])) == 0
+        assert region_of(model, np.array([0.1, 0.0])) == 1
 
     def test_polyhedral_validation(self):
         with pytest.raises(ValueError):
@@ -108,10 +117,11 @@ class TestRegionOf:
 
 
 def region_of_oracle(model, x):
-    """The loop over ``Region.contains`` that resolved regions before the
-    region table, kept as its oracle; None where no region holds ``x``."""
+    """The loop over the regions' own membership tests that resolved
+    regions before the region table, kept as its oracle; None where no
+    region holds ``x``."""
     for j, region in enumerate(model.regions):
-        if region.contains(x):
+        if region_contains(region, x):
             return j
     return None
 
@@ -250,6 +260,23 @@ class TestRegionTable:
         model = build_system(2).model
         want = assert_lookups_match_oracle(model, np.array([[np.nan, 0.0]]))
         assert want == [None]
+
+    def test_rays_reach_is_exact_along_each_ray(self):
+        model = unit_model(
+            polyhedron([[0.0, 1.0]], [-1.0], True),     # y <= -1
+            polyhedron([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0], True),
+            polyhedron([[1.0, 0.0], [-1.0, 0.0]], [12.0, -11.0], False),
+            polyhedron([[-1.0, 0.0]], [-20.0], True))   # x >= 20
+        e1 = np.array([[1.0, 0.0]])
+        reach = model.table.rays_reach
+        # Along e1 every face of the first two is parallel: y <= -1 holds
+        # no t, the strip |y| <= 1 every t.  The box is t in [11, 12].
+        assert reach(e1, 10.0).tolist() == [False, True, True, True]
+        assert reach(e1, 12.0).tolist() == [False, True, True, True]
+        assert reach(e1, 12.5).tolist() == [False, True, False, True]
+        assert reach(-e1, 1.0).tolist() == [False, True, False, False]
+        assert reach(np.vstack([e1, -e1]), 12.5).tolist() == [
+            False, True, False, True]
 
     def test_partition_checks(self):
         with pytest.raises(ValueError, match="columns"):

@@ -26,7 +26,6 @@ from sldsim import (
     estimate_invariant_prob,
     estimate_reward,
     estimate_sigma2_as,
-    log_ball_volume,
     operational_minorization,
     radial_shell,
     rewards_of,
@@ -34,8 +33,6 @@ from sldsim import (
     simulate_regenerative,
     split_step,
 )
-
-from sldsim.regen import _log_volume_below_one
 
 from conftest import build_system, contracting_system, zero_system
 
@@ -94,18 +91,6 @@ class TestOperationalMinorization:
         vol = math.log(math.pi * 1e-6)
         base_t = -math.log(2 * math.pi) - 0.5 * (3e-3) ** 2
         assert tiny.log_beta == pytest.approx(base_t + vol, rel=1e-12)
-
-    def test_volume_clamp_is_the_gammaln_form(self):
-        # Balls clearly above volume 1 skip scipy.special; the clamp is
-        # min(0, log_ball_volume) bit for bit either way.
-        for n in (1, 2, 3, 10, 50, 200, 1000):
-            unit = math.exp((math.lgamma(n / 2.0 + 1.0)
-                             - (n / 2.0) * math.log(math.pi)) / n)
-            for f in (1e-3, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0, 1e3):
-                r = unit * f
-                assert _log_volume_below_one(n, r) == \
-                    min(0.0, log_ball_volume(n, r))
-        assert _log_volume_below_one(1, 0.5) == 0.0   # volume exactly 1
 
     def test_zero_dynamics_radius(self):
         sys = zero_system(1)

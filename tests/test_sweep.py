@@ -659,6 +659,7 @@ class TestFitUpperHalf:
 
 
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_pipeline.json"
+POLY4_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "poly4.json"
 
 
 class TestSpearman:
@@ -917,21 +918,25 @@ rho = reference_reward_average(cl, model, spec, 20_000,
                                np.random.default_rng(0))
 validate_bound(cl, model, spec, cert, eps=0.5, delta=0.2, trials=20,
                rho_star=rho)
+assert sldsim.cli.main(["estimate", "--config", sys.argv[3], "--seed", "3",
+                        "--n-steps", "5000", "--out", sys.argv[4]]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
     def test_pipeline_and_reference_leave_scipy_stats_unloaded(self, tmp_path):
         # A cold process pays for scipy.stats and scipy.special only where
         # they are used: neither is on the golden pipeline, the reference
-        # average or validate_bound.
+        # average, validate_bound or `sldsim estimate` on a polyhedral
+        # model (whose ball volumes use math.lgamma).
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, str(GOLDEN_CONFIG),
-             str(tmp_path)], env=env, capture_output=True, text=True,
-            check=True)
+             str(tmp_path), str(POLY4_JSON), str(tmp_path / "estimate")],
+            env=env, capture_output=True, text=True, check=True)
+        assert (tmp_path / "estimate" / "estimate.json").is_file()
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert "scipy.stats" not in loaded
         assert "scipy.special" not in loaded
