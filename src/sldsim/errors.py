@@ -86,8 +86,10 @@ class ConfigError(SldsimError):
     """A configuration file is missing, unreadable, or malformed."""
 
 
-# (failure, exit code, message prefix); the first match wins.
-_EXIT_CODES = ((ConfigError, 2, ""),
+# (failures, exit code, message prefix); the first match wins.  A region
+# split that contradicts its declarations is a misdeclared model config.
+_EXIT_CODES = (((ConfigError, ClassificationConflict, UncoveredExterior), 2,
+                ""),
                (NotCertifiable, 3, "certification failed: "),
                (OSError, 4, "cannot read or write files: "),
                (SldsimError, 1, ""))

@@ -25,8 +25,6 @@ from .errors import DivergenceError, NoRegion
 
 DIVERGENCE_LIMIT = 1e150
 
-# Noise rows :func:`simulate` draws at a time.
-_NOISE_CHUNK = 4096
 # Chains advanced together by :func:`lockstep`; bounds its noise buffer
 # (``_GROUP * _NOISE_BLOCK * n`` doubles) at any chain count.
 _GROUP = 128
@@ -132,7 +130,9 @@ class RegionTable:
     stacked into ``L`` and ``C``, rows ``starts[i]`` on for region
     ``poly_ids[i]``.  A state's region is the lower of its shell owner and
     its first polyhedral match; :meth:`find` and :meth:`find_rows` always
-    agree.
+    agree.  :meth:`find` memoizes the polyhedral match per comparison
+    vector ``L x <= C``, one entry per cell of the hyperplane arrangement
+    the states visit.
     """
 
     def __init__(self, regions: tuple[Region, ...]) -> None:
@@ -151,21 +151,26 @@ class RegionTable:
         self.L = np.vstack([r.L for _, r in polys]) if polys else None
         self.C = np.concatenate([r.C for _, r in polys]) if polys else None
         self.starts = np.cumsum([0] + [len(r.C) for _, r in polys[:-1]])
+        self._poly_memo: dict[bytes, int] = {}
 
-    def find(self, x: np.ndarray, norm: float | None = None) -> int:
-        """The region of the state ``x``, or ``none``; ``norm``, when
-        given, is ``math.sqrt(x.dot(x))``, already computed."""
+    def find(self, x: np.ndarray) -> int:
+        """The region of the state ``x``, or ``none``."""
         j = self.none
         if self.breaks:
-            r = math.sqrt(x.dot(x)) if norm is None else norm
+            r = math.sqrt(x.dot(x))     # np.linalg.norm(x), bit for bit
             k = bisect_left(self.breaks, r)
             if k or r == 0.0:           # bisect puts NaN at 0
                 j = self.owners[k]
         if self.L is not None:
-            hit = np.logical_and.reduceat(self.L @ x <= self.C, self.starts)
-            k = hit.argmax()
-            if hit[k]:
-                j = min(j, self.poly_ids[k])
+            below = self.L @ x <= self.C
+            key = below.tobytes()
+            p = self._poly_memo.get(key)
+            if p is None:
+                hit = np.logical_and.reduceat(below, self.starts)
+                k = hit.argmax()
+                p = self._poly_memo[key] = (self.poly_ids[k] if hit[k]
+                                            else self.none)
+            j = min(j, p)
         return j
 
     def find_rows(self, x: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -389,15 +394,18 @@ def simulate(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
              zero_noise: bool = False) -> Trajectory:
     """Simulate ``n_steps`` states x_0..x_{n_steps-1} from ``x0``.
 
-    Noise is drawn in row batches from ``rng``; batched draws consume the
-    generator stream in the same order as per-step draws, so results are
-    bit-identical to a loop over :func:`step` with the same generator.
+    The whole path's noise is drawn from ``rng`` in one call, which
+    consumes the generator stream in the same order as per-step draws, so
+    results are bit-identical to a loop over :func:`step` with the same
+    generator.  A call that raises has still drawn all of it.
 
     Raises
     ------
     DivergenceError
         If a state norm exceeds ``DIVERGENCE_LIMIT`` (reported with its
         step index); certificate-violating models can overflow doubles.
+    NoRegion
+        If a state before the first divergence lies in no region.
     """
     states = _path(cl, model, x0, n_steps, rng, zero_noise)
     return Trajectory(states=states, rewards=rewards_of(states, spec))
@@ -408,7 +416,15 @@ def _path(cl: ClosedLoop, model: SldsModel, x0: np.ndarray, n_steps: int,
           t0: int = 0) -> np.ndarray:
     """States x_0..x_{n_steps-1} of one chain from ``x0``, the loop of
     :func:`simulate`; ``t0`` is the step index of ``x0`` in divergence
-    reports."""
+    reports.
+
+    Row ``t`` holds its noise before the step adds ``Ahat_j x_{t-1}`` to
+    it (``-0.0``, the additive identity, without noise).  The loop stops at
+    a state with no region; one pass over the rows it wrote then reports
+    the first norm above ``DIVERGENCE_LIMIT``, so a divergence before that
+    state is raised first, as a per-step check would.  ``x0`` is not
+    checked.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x = np.asarray(x0, dtype=float)
@@ -416,23 +432,29 @@ def _path(cl: ClosedLoop, model: SldsModel, x0: np.ndarray, n_steps: int,
         raise ValueError(f"x0 must have shape ({model.n},), got {x.shape}")
     states = np.empty((n_steps, model.n), dtype=float)
     states[0] = x
-    find, none = model.table.find, model.table.none
-    nrm = math.sqrt(x.dot(x))       # np.linalg.norm(x), bit for bit
-    for t in range(1, n_steps):
-        j = find(x, nrm)
-        if j == none:
-            raise NoRegion(x)
-        x = cl.ahat[j] @ x
-        if not zero_noise:
-            i = (t - 1) % _NOISE_CHUNK
-            if i == 0:
-                noise = rng.standard_normal(
-                    (min(_NOISE_CHUNK, n_steps - t), model.n))
-            x = x + noise[i]
-        nrm = math.sqrt(x.dot(x))
-        if not nrm <= DIVERGENCE_LIMIT:
-            raise DivergenceError(step_index=t0 + t, norm=nrm)
-        states[t] = x
+    if zero_noise:
+        states[1:] = -0.0
+    else:
+        rng.standard_normal(out=states[1:])
+    ahat, find, none = cl.ahat, model.table.find, model.table.none
+    end = n_steps
+    # Rows past a divergence overflow; they are never returned.
+    with np.errstate(all="ignore"):
+        for t in range(1, n_steps):
+            j = find(x)
+            if j == none:
+                end = t
+                break
+            row = states[t]
+            row += ahat[j] @ x
+            x = row
+        norms = _row_norms(states[1:end])
+        bad = np.flatnonzero(~(norms <= DIVERGENCE_LIMIT))  # NaN is bad
+    if bad.size:
+        k = int(bad[0])
+        raise DivergenceError(step_index=t0 + k + 1, norm=float(norms[k]))
+    if end < n_steps:
+        raise NoRegion(x.copy())      # not a view that holds the path
     return states
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from sldsim import (
     Certificate,
     ClosedLoop,
+    DivergenceError,
     Policy,
     RewardSpec,
     SldsModel,
@@ -26,7 +27,9 @@ from sldsim import (
     closed_loop,
     polyhedron,
     radial_shell,
+    step,
 )
+from sldsim.model import DIVERGENCE_LIMIT
 
 # Two-shell benchmark constants: root gain 0.9 outside the rho ball,
 # root gain 2 inside, ball radius 10. The certificate then reads
@@ -59,6 +62,22 @@ def region_contains(region, x) -> bool:
             return r <= region.r_hi
         return region.r_lo < r <= region.r_hi
     return bool(np.all(region.L @ x <= region.C))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def stepwise_path(cl, model, x0, n_steps, rng, zero_noise=False, t0=0):
+    """The states of one chain by a loop over ``step`` that checks each new
+    state's norm as it comes; the oracle of ``model._path``, with its
+    signature.  Raises where that check or ``step`` fails first."""
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for t in range(1, n_steps):
+        x = step(cl, model, x, rng, zero_noise)
+        norm = math.sqrt(x.dot(x))
+        if not norm <= DIVERGENCE_LIMIT:
+            raise DivergenceError(step_index=t0 + t, norm=norm)
+        states.append(x)
+    return np.array(states)
 
 
 def build_system(n: int, gamma_root: float = CASE_GAMMA_ROOT,

@@ -31,7 +31,8 @@ from sldsim import (
 from sldsim.config import fmt, sha256_of_file
 import sldsim.cli as cli
 from sldsim.cli import main
-from sldsim.errors import DivergenceError, NotCertifiable, report_error
+from sldsim.errors import (ClassificationConflict, DivergenceError,
+                           NotCertifiable, UncoveredExterior, report_error)
 from sldsim.regen import operational_minorization
 
 from conftest import build_system, contracting_system, CONTRACT_C_ROOT
@@ -296,6 +297,16 @@ class TestCliSimulate:
                    "--out", str(tmp_path / "o"), "--n-steps", "1000"])
         assert rc == 1
 
+    def test_overflowing_start_is_one_error_line(self, tmp_path, capsys):
+        # The first state's squared norm overflows: one error line, no
+        # overflow warning.
+        rc = main(["simulate", "--config", str(POLY4_JSON), "--x0",
+                   "1e300,1e300", "--n-steps", "50",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: state norm inf exceeded the divergence guard at step 1\n")
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         cfg = make_config(tmp_path)
         env_out = tmp_path / "envout"
@@ -407,6 +418,17 @@ class TestCliCertify:
         cfg = make_config(tmp_path, gamma_root=1.1)
         assert main(["certify", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
+
+    def test_misdeclared_region_exits_2(self, tmp_path, capsys):
+        # Region 0 is a quadrant, which reaches outside every ball.
+        data = json.loads(POLY4_JSON.read_text())
+        data["regions"][0]["declared_unbounded"] = False
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        assert main(["certify", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: region 0: ") and err.count("\n") == 1
 
 
 class TestCliEstimate:
@@ -754,6 +776,8 @@ class TestCliParser:
         (NotCertifiable(gamma=1.5, region_index=0), 3),
         (FileNotFoundError("gone"), 4),
         (DivergenceError(step_index=3, norm=math.inf), 1),
+        (ClassificationConflict(0, "declared bounded"), 2),
+        (UncoveredExterior("no region meets the exterior"), 2),
     ])
     def test_one_error_mapping(self, exc, code, capsys):
         assert report_error(exc) == code

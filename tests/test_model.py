@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,10 +26,10 @@ from sldsim import (
     step,
 )
 
-from sldsim.model import _row_norms
+from sldsim.model import _path, _row_norms
 
 from conftest import (CASE_RHO, build_system, dense_shells, poly4,
-                      region_contains)
+                      region_contains, stepwise_path)
 
 
 def one_region_system(gain: float, n: int = 1):
@@ -37,6 +38,56 @@ def one_region_system(gain: float, n: int = 1):
     policy = Policy(pi=np.zeros((1, n)))
     spec = RewardSpec.bind(Q=np.eye(n), R=np.eye(1), policy=policy)
     return model, closed_loop(model, policy), spec
+
+
+def case_system(n):
+    sys = build_system(n)
+    return sys.model, sys.cl, sys.spec
+
+
+def gained_system(regions, gains):
+    """2-D ``regions`` with zero input; region ``j`` steps by the matrix
+    ``gains[j]``."""
+    model = SldsModel(n=2, p=1, regions=tuple(regions),
+                      dynamics=tuple((np.asarray(g, dtype=float),
+                                      np.zeros((2, 1))) for g in gains))
+    policy = Policy(pi=np.zeros((1, 2)))
+    spec = RewardSpec.bind(Q=np.eye(2), R=np.eye(1), policy=policy)
+    return model, closed_loop(model, policy), spec
+
+
+def rotation(gain, degrees):
+    a = math.radians(degrees)
+    return gain * np.array([[math.cos(a), -math.sin(a)],
+                            [math.sin(a), math.cos(a)]])
+
+
+def scaled_quadrants(*gains):
+    """poly4's closed quadrants, region ``j`` scaled by ``gains[j]``."""
+    signs = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+    return gained_system([polyhedron(-np.diag(sg), np.zeros(2), True)
+                          for sg in signs], [g * np.eye(2) for g in gains])
+
+
+def mixed_table(*gains):
+    """Polyhedra and shells in one table: the half plane ``x_1 <= 1``,
+    the disc ``r <= 3``, the exterior ``r > 2`` and the half plane ``x_2 <=
+    0``, region ``j`` a 30 degree rotation scaled by ``gains[j]``."""
+    return gained_system([polyhedron([[1.0, 0.0]], [1.0], True),
+                          radial_shell(0.0, 3.0), radial_shell(2.0),
+                          polyhedron([[0.0, 1.0]], [0.0], True)],
+                         [rotation(g, 30.0) for g in gains])
+
+
+def outcome(run):
+    """How ``run()`` ended, with the values its error reports."""
+    try:
+        run()
+    except DivergenceError as exc:
+        return "diverged", exc.step_index, exc.norm
+    except NoRegion as exc:
+        return "no region", exc.x.tolist()
+    return ("completed",)
 
 
 class TestRegion:
@@ -153,9 +204,13 @@ def on_breakpoints(radii, n):
 
 @np.errstate(over="ignore", invalid="ignore")
 def assert_lookups_match_oracle(model, xs):
-    """One-vector and row lookups both equal the oracle on every row."""
+    """One-vector and row lookups both equal the oracle on every row; the
+    one-vector lookups run twice, with the polyhedral memo cold and then,
+    in reverse order, warm."""
     want = [region_of_oracle(model, x) for x in xs]
-    for x, j in zip(xs, want):
+    model = dataclasses.replace(model)      # a new table, its memo empty
+    pairs = list(zip(xs, want))
+    for x, j in pairs + pairs[::-1]:
         if j is None:
             with pytest.raises(NoRegion):
                 region_of(model, x)
@@ -402,17 +457,54 @@ class TestSimulate:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.rewards, b.rewards)
 
-    def test_chunked_noise_matches_stepwise(self):
-        # 5000 states cross a refill of the 4096-row noise buffer.
-        sys = build_system(2)
+    @pytest.mark.parametrize("make, zero_noise", [
+        (lambda: case_system(2), False),
+        (poly4, False),
+        (lambda: mixed_table(0.6, 0.5, 0.8, 0.9), False),
+        (lambda: case_system(2), True),
+    ], ids=["case-n2", "poly4", "mixed", "case-n2-zero-noise"])
+    def test_chunked_noise_matches_stepwise(self, make, zero_noise):
+        # The path equals the loop over step, bit for bit.
+        model, cl, spec = make()
         x0 = np.array([1.0, -2.0])
-        traj = simulate(sys.cl, sys.model, sys.spec, x0, 5000,
-                        np.random.default_rng(5))
-        rng = np.random.default_rng(5)
-        x = x0
-        for t in range(1, 5000):
-            x = step(sys.cl, sys.model, x, rng)
-            assert np.array_equal(traj.states[t], x)
+        traj = simulate(cl, model, spec, x0, 5000, np.random.default_rng(5),
+                        zero_noise)
+        want = stepwise_path(cl, model, x0, 5000, np.random.default_rng(5),
+                             zero_noise)
+        assert traj.states.tobytes() == want.tobytes()
+
+    # want: the step of the first divergence, or "no region", with noise
+    # and without.
+    @pytest.mark.parametrize("make, want", [
+        (lambda: scaled_quadrants(2.0, 1.5, 1.9, 2.5), (498, 498)),
+        (lambda: gained_system([radial_shell(0.0, 1.0), radial_shell(1.0)],
+                               [0.5 * np.eye(2), 3.0 * np.eye(2)]),
+         (314, 315)),
+        (lambda: mixed_table(1.5, 0.5, 2.5, 1.0), (526, 525)),
+        # {x_1 >= 0} alone: a 20 degree turn leaves it, a 0.1 degree turn
+        # diverges first.
+        (lambda: gained_system([polyhedron([[-1.0, 0.0]], [0.0], True)],
+                               [rotation(1.2, 20.0)]),
+         ("no region", "no region")),
+        (lambda: gained_system([polyhedron([[-1.0, 0.0]], [0.0], True)],
+                               [rotation(3.0, 0.1)]), (314, 315)),
+    ], ids=["quadrants", "radial", "mixed", "half-plane-exit",
+            "half-plane-diverges"])
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    def test_errors_match_stepwise(self, make, want, zero_noise):
+        # The same error with the same values as a check after every
+        # step: the step index and norm of the first divergence, or the
+        # state with no region.
+        model, cl, spec = make()
+
+        def run(path):
+            return outcome(lambda: path(
+                cl, model, np.array([1.0, 1.0]), 2000,
+                np.random.default_rng(1), zero_noise))
+
+        got = run(_path)
+        assert got == run(stepwise_path)
+        assert (got[1] if got[0] == "diverged" else got[0]) == want[zero_noise]
 
     def test_zero_noise_trajectory(self):
         model, cl, spec = one_region_system(0.9)

@@ -33,8 +33,10 @@ from sldsim import (
     simulate_regenerative,
     split_step,
 )
+import sldsim.regen as regen
 
-from conftest import build_system, contracting_system, zero_system
+from conftest import (build_system, contracting_system, stepwise_path,
+                      zero_system)
 
 
 class TestMinorization:
@@ -366,12 +368,13 @@ class TestSimulateRegenerative:
         assert kept >= 3000
         assert np.array_equal(log.states[:kept], plain[:kept])
 
-    def test_divergence_raises(self):
+    def test_divergence_raises(self, monkeypatch):
         # Zero dynamics inside radius 2.5 and gain 2 outside: the chain
         # regenerates in S until it leaves radius 2.5, then overflows, at
         # the same step whether that lies in the first chunk or in an
         # extension chunk past a shorter horizon.  The chain regenerates
-        # before that horizon, so it is extended.
+        # before that horizon, so it is extended.  Each report equals the
+        # one of the stepwise loop, whose extension chunks start at t0.
         model = SldsModel(n=1, p=1,
                           regions=(radial_shell(0.0, 2.5), radial_shell(2.5)),
                           dynamics=((np.zeros((1, 1)), np.zeros((1, 1))),
@@ -379,15 +382,17 @@ class TestSimulateRegenerative:
         cl = closed_loop(model, Policy(pi=np.zeros((1, 1))))
         # beta q(y) = 0.3 <= phi(0.5) <= p(y | x) for x, y in S.
         minor = Minorization(n=1, s_radius=0.5, log_beta=math.log(0.3))
-        steps = []
-        for horizon in (2000, 300):
-            with pytest.raises(DivergenceError) as info:
-                simulate_regenerative(cl, model, minor, horizon,
-                                      np.random.default_rng(30),
-                                      x0=np.array([0.0]),
-                                      max_extension=2000)
-            steps.append(info.value.step_index)
-        assert steps[0] == steps[1] and 300 < steps[0] < 2000
+        reports = []
+        for path in (regen._path, stepwise_path):
+            monkeypatch.setattr(regen, "_path", path)
+            for horizon in (2000, 300):
+                with pytest.raises(DivergenceError) as info:
+                    simulate_regenerative(cl, model, minor, horizon,
+                                          np.random.default_rng(30),
+                                          x0=np.array([0.0]),
+                                          max_extension=2000)
+                reports.append((info.value.step_index, info.value.norm))
+        assert len(set(reports)) == 1 and 300 < reports[0][0] < 2000
 
     def test_argument_validation(self):
         sys = contracting_system(1)
