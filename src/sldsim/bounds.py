@@ -253,7 +253,7 @@ def validate_bound(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     req = required_samples(cert, eps, delta, consts=consts,
                            beta_op=beta_op,
                            x0_norm_sq=0.0 if x0 is None
-                           else float(x0 @ x0))
+                           else float(x0.dot(x0)))
     n_used = req.n_operational
     rngs = [np.random.default_rng(
                 np.random.SeedSequence(master_seed, spawn_key=(7, trial)))

@@ -30,6 +30,9 @@ DIVERGENCE_LIMIT = 1e150
 _GROUP = 128
 # Noise rows each chain draws per refill of that buffer.
 _NOISE_BLOCK = 16
+# Rows :func:`_path` steps between checks of the newest state's norm, so
+# a diverged chain stops within this many steps of its divergence.
+_CHECK_ROWS = 1024
 
 _PSD_TOL = 1e-10
 
@@ -100,11 +103,13 @@ def polyhedron(L, C, declared_unbounded: bool) -> Region:
                   declared_unbounded=declared_unbounded)
 
 
-# The stacked row products below run one BLAS dot or gemv per row, the
-# same call a single vector makes, so each row's value equals the per-
-# vector ``np.linalg.norm(x)``, ``A @ x`` or ``x @ P @ x`` bit for bit,
-# whatever the other rows are.  ``X @ A.T`` and ``np.linalg.norm(X,
-# axis=1)`` do not: their blocking can move the last bit.
+# One vector's products use ``ndarray.dot``, which reaches the same BLAS
+# gemv or dot as ``@`` at half its dispatch cost.  Stacked rows use the
+# ``np.matmul`` forms below: they make that BLAS call once per row, so each
+# row equals the one-vector ``np.linalg.norm(x)``, ``A.dot(x)`` or
+# ``x.dot(P).dot(x)`` bit for bit, whatever the other rows are.  ``X @
+# A.T`` and ``np.linalg.norm(X, axis=1)`` do not: their blocking can move
+# the last bit.
 
 def _row_dots(x: np.ndarray) -> np.ndarray:
     """``x_k . x_k`` for every row ``x_k`` (``x . x`` for one vector)."""
@@ -162,7 +167,7 @@ class RegionTable:
             if k or r == 0.0:           # bisect puts NaN at 0
                 j = self.owners[k]
         if self.L is not None:
-            below = self.L @ x <= self.C
+            below = self.L.dot(x) <= self.C
             key = below.tobytes()
             p = self._poly_memo.get(key)
             if p is None:
@@ -364,7 +369,7 @@ def reward(x: np.ndarray, spec: RewardSpec) -> float:
     """Evaluate ``sqrt(x' P_hat x)``; tiny negative quadratics clip to 0."""
     if spec.p_hat_is_identity:
         return math.sqrt(x.dot(x))      # np.linalg.norm(x), bit for bit
-    quad = float(x @ spec.p_hat @ x)
+    quad = float(x.dot(spec.p_hat).dot(x))
     return math.sqrt(max(quad, 0.0))
 
 
@@ -385,7 +390,7 @@ def step(cl: ClosedLoop, model: SldsModel, x: np.ndarray,
     ``zero_noise=True`` suppresses the noise draw entirely (debug aid for
     deterministic checks); it is never a default.
     """
-    mean = cl.ahat[region_of(model, x)] @ x
+    mean = cl.ahat[region_of(model, x)].dot(x)
     return mean if zero_noise else mean + rng.standard_normal(model.n)
 
 
@@ -420,10 +425,11 @@ def _path(cl: ClosedLoop, model: SldsModel, x0: np.ndarray, n_steps: int,
 
     Row ``t`` holds its noise before the step adds ``Ahat_j x_{t-1}`` to
     it (``-0.0``, the additive identity, without noise).  The loop stops at
-    a state with no region; one pass over the rows it wrote then reports
-    the first norm above ``DIVERGENCE_LIMIT``, so a divergence before that
-    state is raised first, as a per-step check would.  ``x0`` is not
-    checked.
+    a state with no region, or at the start of a block of ``_CHECK_ROWS``
+    rows when the newest state (``x0`` first) fails the divergence guard;
+    one pass over the rows it wrote, ``x0`` included, then reports the
+    first norm above ``DIVERGENCE_LIMIT``, so a divergence before that
+    state is raised first, as a check of every state would.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -440,19 +446,24 @@ def _path(cl: ClosedLoop, model: SldsModel, x0: np.ndarray, n_steps: int,
     end = n_steps
     # Rows past a divergence overflow; they are never returned.
     with np.errstate(all="ignore"):
-        for t in range(1, n_steps):
-            j = find(x)
-            if j == none:
-                end = t
+        for lo in range(1, n_steps, _CHECK_ROWS):
+            if not _row_norms(x) <= DIVERGENCE_LIMIT:   # NaN fails
+                end = lo
                 break
-            row = states[t]
-            row += ahat[j] @ x
-            x = row
-        norms = _row_norms(states[1:end])
+            for t, row in enumerate(states[lo:lo + _CHECK_ROWS], lo):
+                j = find(x)
+                if j == none:
+                    end = t
+                    break
+                row += ahat[j].dot(x)
+                x = row
+            if end < n_steps:
+                break
+        norms = _row_norms(states[:end])
         bad = np.flatnonzero(~(norms <= DIVERGENCE_LIMIT))  # NaN is bad
     if bad.size:
         k = int(bad[0])
-        raise DivergenceError(step_index=t0 + k + 1, norm=float(norms[k]))
+        raise DivergenceError(step_index=t0 + k, norm=float(norms[k]))
     if end < n_steps:
         raise NoRegion(x.copy())      # not a view that holds the path
     return states

@@ -27,7 +27,7 @@ from sldsim import (
     closed_loop,
     polyhedron,
     radial_shell,
-    step,
+    region_of,
 )
 from sldsim.model import DIVERGENCE_LIMIT
 
@@ -66,13 +66,17 @@ def region_contains(region, x) -> bool:
 
 @np.errstate(over="ignore", invalid="ignore")
 def stepwise_path(cl, model, x0, n_steps, rng, zero_noise=False, t0=0):
-    """The states of one chain by a loop over ``step`` that checks each new
-    state's norm as it comes; the oracle of ``model._path``, with its
-    signature.  Raises where that check or ``step`` fails first."""
+    """The states of one chain by a per-step loop that checks each state's
+    norm as it comes, ``x0`` first; the oracle of ``model._path``, with its
+    signature.  Each mean is the ``matmul`` product ``Ahat_j @ x``, and
+    each step draws its noise as ``step`` does.  Raises where that check or
+    ``region_of`` fails first."""
     x = np.asarray(x0, dtype=float)
-    states = [x]
-    for t in range(1, n_steps):
-        x = step(cl, model, x, rng, zero_noise)
+    states = []
+    for t in range(n_steps):
+        if t:
+            mean = cl.ahat[region_of(model, x)] @ x
+            x = mean if zero_noise else mean + rng.standard_normal(model.n)
         norm = math.sqrt(x.dot(x))
         if not norm <= DIVERGENCE_LIMIT:
             raise DivergenceError(step_index=t0 + t, norm=norm)

@@ -298,14 +298,17 @@ class TestCliSimulate:
         assert rc == 1
 
     def test_overflowing_start_is_one_error_line(self, tmp_path, capsys):
-        # The first state's squared norm overflows: one error line, no
-        # overflow warning.
-        rc = main(["simulate", "--config", str(POLY4_JSON), "--x0",
-                   "1e300,1e300", "--n-steps", "50",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: state norm inf exceeded the divergence guard at step 1\n")
+        # The start state's squared norm overflows: one error line at step
+        # 0, no overflow warning, no trajectory, however long the run.
+        for n_steps in ("50", "1"):
+            rc = main(["simulate", "--config", str(POLY4_JSON), "--x0",
+                       "1e300,1e300", "--n-steps", n_steps,
+                       "--out", str(tmp_path / "o")])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                "error: state norm inf exceeded the divergence guard at "
+                "step 0\n")
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         cfg = make_config(tmp_path)

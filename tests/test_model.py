@@ -341,6 +341,29 @@ class TestRegionTable:
             polyhedron(np.zeros((0, 2)), np.zeros(0), True)
 
 
+class TestVectorProducts:
+    """One vector's products use ``ndarray.dot``, stacked rows and the
+    oracles ``@``; both must reach the same BLAS call, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 200])
+    def test_dot_equals_matmul(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            a = rng.standard_normal((n, n))
+            v = rng.standard_normal(n)
+            assert a.dot(v).tobytes() == (a @ v).tobytes()
+            assert v.dot(a).tobytes() == (v @ a).tobytes()
+            assert v.dot(v) == v @ v
+
+    def test_stacked_faces_on_chain_states(self):
+        model, cl, spec = poly4()
+        states = simulate(cl, model, spec, np.zeros(2), 10_000,
+                          np.random.default_rng(3)).states
+        L = model.table.L
+        assert L.shape == (8, 2)
+        assert all(L.dot(x).tobytes() == (L @ x).tobytes() for x in states)
+
+
 class TestClosedLoop:
     def test_feedback_composition(self):
         model = SldsModel(n=1, p=1, regions=(radial_shell(0.0, math.inf),),
@@ -459,14 +482,18 @@ class TestSimulate:
 
     @pytest.mark.parametrize("make, zero_noise", [
         (lambda: case_system(2), False),
+        (lambda: case_system(1), False),
+        (lambda: case_system(10), False),
+        (lambda: case_system(100), False),
         (poly4, False),
         (lambda: mixed_table(0.6, 0.5, 0.8, 0.9), False),
         (lambda: case_system(2), True),
-    ], ids=["case-n2", "poly4", "mixed", "case-n2-zero-noise"])
+    ], ids=["case-n2", "case-n1", "case-n10", "case-n100", "poly4", "mixed",
+            "case-n2-zero-noise"])
     def test_chunked_noise_matches_stepwise(self, make, zero_noise):
-        # The path equals the loop over step, bit for bit.
+        # The path equals the per-step matmul loop, bit for bit.
         model, cl, spec = make()
-        x0 = np.array([1.0, -2.0])
+        x0 = np.resize([1.0, -2.0], model.n)
         traj = simulate(cl, model, spec, x0, 5000, np.random.default_rng(5),
                         zero_noise)
         want = stepwise_path(cl, model, x0, 5000, np.random.default_rng(5),
@@ -505,6 +532,47 @@ class TestSimulate:
         got = run(_path)
         assert got == run(stepwise_path)
         assert (got[1] if got[0] == "diverged" else got[0]) == want[zero_noise]
+
+    @pytest.mark.parametrize("x0, norm", [
+        ([1e300, 1e300], math.inf),
+        ([1e151, 0.0], 1e151),
+        ([math.nan, 0.0], math.nan),
+    ], ids=["overflowing", "above-limit", "nan"])
+    @pytest.mark.parametrize("n_steps", [1, 50])
+    def test_start_state_is_checked(self, x0, norm, n_steps):
+        # x0 is reported at its own step index, t0, before any step.
+        model, cl, spec = poly4()
+
+        def run(path):
+            return outcome(lambda: path(cl, model, np.array(x0), n_steps,
+                                        np.random.default_rng(1), t0=7))
+
+        got, want = run(_path), run(stepwise_path)
+        assert got[:2] == want[:2] == ("diverged", 7)
+        assert np.array_equal([got[2], want[2]], [norm, norm], equal_nan=True)
+
+    def test_diverged_chain_stops_within_a_check_block(self, monkeypatch):
+        # The norm check every 1,024 rows ends the loop, so a chain
+        # that diverges at step 499 is not stepped on to its last row.
+        model, cl, spec = one_region_system(2.0)
+        calls = 0
+        find = model.table.find
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return find(x)
+
+        monkeypatch.setattr(model.table, "find", counted)
+
+        def run(path):
+            return outcome(lambda: path(cl, model, np.array([1.0]),
+                                        1_000_000, np.random.default_rng(0)))
+
+        got = run(_path)
+        assert calls <= 499 + 1024
+        assert got == run(stepwise_path)
+        assert got[:2] == ("diverged", 499)
 
     def test_zero_noise_trajectory(self):
         model, cl, spec = one_region_system(0.9)
