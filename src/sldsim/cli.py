@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import BoundConstants, bound_terms, required_samples
 from .config import (
-    fmt,
+    _write_csv,
     load_model_config,
     read_json,
     write_trajectory_csv,
@@ -190,10 +190,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
     out = _out_dir(args)
     blocks_path = out / "blocks.csv"
-    lines = ["m,tau_m,T_m,block_reward_sum"]
-    lines += [f"{m},{lo},{hi - lo},{fmt(total)}" for m, ((lo, hi), total)
-              in enumerate(zip(log.blocks, est.block_sums), start=1)]
-    blocks_path.write_text("\n".join(lines) + "\n")
+    _write_csv(blocks_path, ("m", "tau_m", "T_m", "block_reward_sum"),
+               ((m, lo, hi - lo, total) for m, ((lo, hi), total)
+                in enumerate(zip(log.blocks, est.block_sums), start=1)))
 
     summary = {
         "horizon": log.horizon,
@@ -272,8 +271,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         "term_cross", "term_c1_sq", "term_sigma2_c0", "term_sigma2_c0_sq",
         "total_operational", "pi_vhat_bound", "rbar_vhat_norm_sq_bound",
         "e_x_vhat_bound"))
-    header, row = ",".join(columns), ",".join(map(fmt, columns.values()))
-    path.write_text(header + "\n" + row + "\n")
+    _write_csv(path, columns, [columns.values()])
     print(f"wrote {path}")
     return 0
 

@@ -1,8 +1,10 @@
 """Config files, CSV emission, and run manifests.
 
-Model configs are JSON with matrices as row-major nested arrays. All CSV
-numbers are written with full round-trip precision (shortest decimal that
-recovers the exact double), so identical runs produce byte-identical files.
+Model configs are JSON with matrices as row-major nested arrays.  Every
+CSV the package writes goes through ``_write_csv``, the one CSV writer,
+which writes each cell with :func:`fmt`: numbers at full round-trip
+precision (shortest decimal that recovers the exact double), so identical
+runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from .model import Policy, Region, RewardSpec, SldsModel, Trajectory
 
 
 def fmt(value) -> str:
-    """Round-trip text for one CSV cell."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    """Round-trip text for one CSV cell; a bool is written as 0 or 1."""
+    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(value))
     return repr(float(value))
 
@@ -172,16 +172,20 @@ def save_model_config(cfg: ModelConfig, path: str | Path) -> None:
                           + "\n")
 
 
+def _write_csv(path: str | Path, header, rows) -> None:
+    """A header line, one line of :func:`fmt` cells per row, and a final
+    newline."""
+    lines = [",".join(header)]
+    lines += [",".join(map(fmt, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Columns ``step, x_0..x_{n-1}, reward``; round-trip precision."""
     n = traj.states.shape[1]
-    lines = ["step," + ",".join(f"x_{i}" for i in range(n)) + ",reward"]
-    for t in range(len(traj)):
-        cells = [str(t)]
-        cells += [fmt(v) for v in traj.states[t]]
-        cells.append(fmt(traj.rewards[t]))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ("step", *(f"x_{i}" for i in range(n)), "reward"),
+               ((t, *x, r) for t, (x, r) in enumerate(
+                   zip(traj.states.tolist(), traj.rewards.tolist()))))
 
 
 def sha256_of_file(path: str | Path) -> str:

@@ -383,26 +383,16 @@ def rewards_of(states: np.ndarray, spec: RewardSpec) -> np.ndarray:
     return np.sqrt(np.maximum(quad, 0.0))
 
 
-def step(cl: ClosedLoop, model: SldsModel, x: np.ndarray,
-         rng: np.random.Generator, zero_noise: bool = False) -> np.ndarray:
-    """One transition ``x' = Ahat_{j(x)} x + w`` with ``w ~ N(0, I_n)``.
-
-    ``zero_noise=True`` suppresses the noise draw entirely (debug aid for
-    deterministic checks); it is never a default.
-    """
-    mean = cl.ahat[region_of(model, x)].dot(x)
-    return mean if zero_noise else mean + rng.standard_normal(model.n)
-
-
 def simulate(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
              x0: np.ndarray, n_steps: int, rng: np.random.Generator,
              zero_noise: bool = False) -> Trajectory:
     """Simulate ``n_steps`` states x_0..x_{n_steps-1} from ``x0``.
 
     The whole path's noise is drawn from ``rng`` in one call, which
-    consumes the generator stream in the same order as per-step draws, so
-    results are bit-identical to a loop over :func:`step` with the same
-    generator.  A call that raises has still drawn all of it.
+    consumes the generator stream in the same order as one
+    ``standard_normal(n)`` draw per step, so results are bit-identical to
+    a per-step loop on the same generator.  A call that raises has still
+    drawn all of it.
 
     Raises
     ------

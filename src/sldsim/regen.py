@@ -36,7 +36,6 @@ from .model import (
     _row_dots,
     _row_norms,
     rewards_of,
-    step,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -143,18 +142,17 @@ def _log_ratios(cl: ClosedLoop, model: SldsModel, minor: Minorization,
 def split_step(x: np.ndarray, cl: ClosedLoop, model: SldsModel,
                minor: Minorization, beta_op: float,
                rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """One split-chain transition with constant ``beta_op``: a plain step
-    to ``y``, then the regeneration bit ``theta`` of that pair (the
+    """One split-chain transition with constant ``beta_op``: a two-state
+    path ``(x, y)``, then the regeneration bit ``theta`` of that pair (the
     one-step case of :func:`simulate_regenerative`).  Returns
     ``(theta, y)``."""
     if not (0.0 < beta_op <= 1.0
             and math.log(beta_op) <= minor.log_beta + 1e-12):
         raise ValueError(f"beta_op = {beta_op!r} must lie in (0, 1] and not "
                          f"exceed exp({minor.log_beta!r})")
-    y = step(cl, model, x, rng)
-    bit = _split_bits(cl, model, minor, math.log(beta_op), np.stack([x, y]),
-                      rng)
-    return int(bit[0]), y
+    path = _path(cl, model, x, 2, rng)
+    bit = _split_bits(cl, model, minor, math.log(beta_op), path, rng)
+    return int(bit[0]), path[1]
 
 
 def _split_bits(cl: ClosedLoop, model: SldsModel, minor: Minorization,

@@ -33,18 +33,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, DivergenceError, MaxStepsExceeded,
-                     SldsimError, report_error)
+from .config import _write_csv, read_json, sha256_of_file, write_manifest
+from .errors import ConfigError, MaxStepsExceeded, SldsimError, report_error
 from .ergodicity import certify, classify_regions
 from .model import (
+    DIVERGENCE_LIMIT,
     ClosedLoop,
     Policy,
     RewardSpec,
     SldsModel,
+    _path,
     closed_loop,
     lockstep,
     radial_shell,
-    simulate,
+    rewards_of,
 )
 
 # States per exactly combined partial sum of the reference average.
@@ -148,8 +150,6 @@ def read_sweep_file(path: str | Path) -> tuple[dict, tuple[str, ...]]:
     The file holds ``{"sweep": {...fields...}, "run": [...kinds...]}``,
     both keys optional, or a flat object of fields, which runs both
     kinds.  Kinds come back in the order ``dimension``, ``gamma``."""
-    from .config import read_json
-
     data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a JSON object")
@@ -165,9 +165,10 @@ def read_sweep_file(path: str | Path) -> tuple[dict, tuple[str, ...]]:
         run = _KINDS
     if not isinstance(data, dict):
         raise ConfigError("sweep section must be a JSON object")
-    if not isinstance(run, (list, tuple)) or any(k not in _KINDS
-                                                 for k in run):
-        raise ConfigError(f"run must list sweep kinds out of {list(_KINDS)}")
+    if not (isinstance(run, (list, tuple)) and run
+            and all(k in _KINDS for k in run)):
+        raise ConfigError(f"run must list one or more sweep kinds out of "
+                          f"{list(_KINDS)}")
     return data, tuple(k for k in _KINDS if k in run)
 
 
@@ -229,7 +230,9 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
 
     Streams the chain in chunks whose sums are combined exactly, so 1e8
     steps lose no precision: a scalar loop on the shell pieces of a
-    one-dimensional shell model with norm reward, else :func:`simulate`.
+    one-dimensional shell model with norm reward, else :func:`_path`.
+    Either way a divergence is raised as :func:`simulate` raises it, at
+    its absolute step.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -239,32 +242,43 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
     table = model.table
     if (model.n == 1 and spec.p_hat_is_identity and not table.poly_ids
             and table.none not in table.owners[:-1]):
-        gains = [float(cl.ahat[j][0, 0]) for j in table.owners[:-1]]
-        return _scalar_reference(gains, table.breaks, float(x[0]), n_steps,
+        return _scalar_reference(cl, model, float(x[0]), n_steps,
                                  rng) / n_steps
     partials = []
     for lo in range(0, n_steps, _NOISE_CHUNK):
         # Later chunks restart from the last state, not counted again.
-        rows = min(_NOISE_CHUNK, n_steps - lo) + (lo > 0)
-        traj = simulate(cl, model, spec, x, rows, rng)
-        x = traj.states[-1]
-        partials.append(math.fsum(traj.rewards[lo > 0:]))
+        start = lo - (lo > 0)
+        states = _path(cl, model, x, min(lo + _NOISE_CHUNK, n_steps) - start,
+                       rng, t0=start)
+        x = states[-1]
+        partials.append(math.fsum(rewards_of(states[lo > 0:], spec)))
     return math.fsum(partials) / n_steps
 
 
-def _scalar_reference(gains: list[float], breaks: tuple[float, ...],
-                      x: float, n_steps: int,
-                      rng: np.random.Generator) -> float:
-    """Sum of |x_t| of a 1-D chain from ``x``, gain ``gains[k]`` on piece k."""
+def _scalar_reference(cl: ClosedLoop, model: SldsModel, x: float,
+                      n_steps: int, rng: np.random.Generator) -> float:
+    """Sum of |x_t| of a 1-D shell chain from ``x``, gain ``Ahat_j`` on the
+    table's piece owned by region ``j``.
+
+    A chunk whose sum is not ``<= DIVERGENCE_LIMIT`` is stepped again by
+    :func:`_path` from its start state and generator state, which raises
+    the divergence :func:`simulate` raises, or returns if only the sum
+    was large."""
+    table = model.table
+    gains = [float(cl.ahat[j][0, 0]) for j in table.owners[:-1]]
+    breaks = table.breaks
     partials = []
     for lo in range(0, n_steps, _NOISE_CHUNK):
         hi = min(lo + _NOISE_CHUNK, n_steps)
+        start, state = x, rng.bit_generator.state
         total = 0.0 if lo else abs(x)
         for w in rng.standard_normal(hi - max(lo, 1)).tolist():
             x = gains[bisect_left(breaks, abs(x))] * x + w
             total += abs(x)
-        if not math.isfinite(total):
-            raise DivergenceError(step_index=hi - 1, norm=abs(x))
+        if not total <= DIVERGENCE_LIMIT:
+            rng.bit_generator.state = state
+            t0 = lo - (lo > 0)
+            _path(cl, model, np.array([start]), hi - t0, rng, t0=t0)
         partials.append(total)
     return math.fsum(partials)
 
@@ -438,25 +452,16 @@ def _spearman(x, y) -> float | None:
 
 
 def write_raw_csv(result: SweepResult, path: str | Path) -> None:
-    from .config import fmt
-
-    lines = ["n,gamma,trial,N_pseudo,censored,seed"]
-    for r in result.raw:
-        lines.append(",".join([str(r.n), fmt(r.gamma), str(r.trial),
-                               str(r.n_pseudo), str(int(r.censored)),
-                               str(r.seed)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ("n", "gamma", "trial", "N_pseudo", "censored", "seed"),
+               ((r.n, r.gamma, r.trial, r.n_pseudo, r.censored, r.seed)
+                for r in result.raw))
 
 
 def write_agg_csv(result: SweepResult, path: str | Path) -> None:
-    from .config import fmt
-
-    lines = ["n,gamma,trials,N_avg,stderr,censored_frac"]
-    for c in result.cells:
-        lines.append(",".join([str(c.n), fmt(c.gamma), str(c.trials),
-                               fmt(c.n_avg), fmt(c.stderr),
-                               fmt(c.censored_frac)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ("n", "gamma", "trials", "N_avg", "stderr",
+                      "censored_frac"),
+               ((c.n, c.gamma, c.trials, c.n_avg, c.stderr, c.censored_frac)
+                for c in result.cells))
 
 
 def _result_manifest_block(result: SweepResult) -> dict:
@@ -479,8 +484,6 @@ def write_sweeps(cfg: SweepConfig, kinds: tuple[str, ...],
     wall-clock data, so reruns with the same config and environment are
     byte-identical.  Every sweep runs before the first file is written,
     so a failing cell leaves no output."""
-    from .config import sha256_of_file, write_manifest
-
     config_hash = (None if config_path is None
                    else sha256_of_file(config_path))
     # Looked up per call, so a replaced module attribute is the one run.

@@ -69,8 +69,8 @@ def stepwise_path(cl, model, x0, n_steps, rng, zero_noise=False, t0=0):
     """The states of one chain by a per-step loop that checks each state's
     norm as it comes, ``x0`` first; the oracle of ``model._path``, with its
     signature.  Each mean is the ``matmul`` product ``Ahat_j @ x``, and
-    each step draws its noise as ``step`` does.  Raises where that check or
-    ``region_of`` fails first."""
+    each step draws its own ``standard_normal(n)`` noise.  Raises where
+    that check or ``region_of`` fails first."""
     x = np.asarray(x0, dtype=float)
     states = []
     for t in range(n_steps):

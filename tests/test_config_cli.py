@@ -749,6 +749,32 @@ class TestCliSweeps:
         assert manifest["results"][0]["fit"] is None
 
 
+class TestCliOutputBytes:
+    # Every file the model commands write on poly4, byte for byte.
+    SHA256 = {
+        "trajectory.csv":
+            "86a6ba4ee10e1d1dec28ee3daabd3b5b0fdcc71728ad56821f9b4db3c5b57603",
+        "certificate.json":
+            "e999f16ac2a6aa0608678624e49ae18f2d041e5b9f946fb8baa97be9b2de915f",
+        "estimate.json":
+            "ce9314e2ffe7ea31c14b41ac294c19e612f04f9fc1e822b26d595e567143579b",
+        "blocks.csv":
+            "70950dd05a57c43caa76e96db0f15f95148b4d25ccc1a4a4d0c881560c1ec937",
+        "bound.csv":
+            "ff91dc0517ce5acf882ebd99dfc25a8cc56885e66ce4724da8f94e83b9d67808",
+    }
+
+    def test_outputs_are_pinned(self, tmp_path, capsys):
+        common = ["--config", str(POLY4_JSON), "--out", str(tmp_path)]
+        for argv in (["simulate", "--n-steps", "200", "--seed", "5"],
+                     ["certify"],
+                     ["estimate", "--n-steps", "20000", "--seed", "3"],
+                     ["bound"]):
+            assert main(argv + common) == 0
+        got = {name: sha256_of_file(tmp_path / name) for name in self.SHA256}
+        assert got == self.SHA256
+
+
 class TestCliParser:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n-steps", "0"],

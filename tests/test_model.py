@@ -23,7 +23,6 @@ from sldsim import (
     rewards_of,
     simulate,
     spectral_norm,
-    step,
 )
 
 from sldsim.model import _path, _row_norms
@@ -435,10 +434,11 @@ class TestReward:
 
 class TestStep:
     def test_conditional_moments(self):
-        model, cl, _ = one_region_system(0.5, n=3)
+        model, cl, spec = one_region_system(0.5, n=3)
         x = np.array([2.0, 0.0, 0.0])
         rng = np.random.default_rng(11)
-        draws = np.array([step(cl, model, x, rng) for _ in range(100_000)])
+        draws = np.array([simulate(cl, model, spec, x, 2, rng).states[1]
+                          for _ in range(100_000)])
         se_mean = 1.0 / math.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - [1.0, 0.0, 0.0])
                       < 4 * se_mean)
@@ -448,9 +448,10 @@ class TestStep:
         assert abs(sq.mean() - 4.0) < 4 * se_sq
 
     def test_zero_noise_is_deterministic(self):
-        model, cl, _ = one_region_system(0.9)
+        model, cl, spec = one_region_system(0.9)
         rng = np.random.default_rng(0)
-        out = step(cl, model, np.array([10.0]), rng, zero_noise=True)
+        out = simulate(cl, model, spec, np.array([10.0]), 2, rng,
+                       zero_noise=True).states[1]
         assert out[0] == pytest.approx(9.0)
 
 

@@ -22,6 +22,7 @@ from sldsim import (
     ConfigError,
     DivergenceError,
     MaxStepsExceeded,
+    Minorization,
     NoRegion,
     Policy,
     RewardSpec,
@@ -37,6 +38,7 @@ from sldsim import (
     reward,
     run_pipeline,
     simulate,
+    simulate_regenerative,
     sweep_dimension,
     sweep_gamma,
     trial_seed_sequence,
@@ -52,7 +54,7 @@ from sldsim.sweep import (
     write_raw_csv,
 )
 
-from conftest import dense_shells, quadrants
+from conftest import dense_shells, quadrants, stepwise_path
 
 
 GOLDEN_SHA256 = {
@@ -608,6 +610,72 @@ class TestReferenceRewardAverage:
                                      x0=np.zeros(3))
 
 
+def one_shell(n, gain):
+    """One radial shell with closed loop ``gain I`` and norm reward."""
+    model = SldsModel(n=n, p=1, regions=(radial_shell(0.0),),
+                      dynamics=((gain * np.eye(n), np.zeros((n, 1))),))
+    policy = Policy(pi=np.zeros((1, n)))
+    spec = RewardSpec.bind(Q=np.eye(n), R=np.eye(1), policy=policy)
+    return model, closed_loop(model, policy), spec
+
+
+class TestDivergenceReport:
+    """Every entry point that steps one chain reports a divergence as the
+    per-step oracle does: the first state above the guard, at its
+    absolute step, with its norm."""
+
+    N_STEPS = 40_000
+
+    @pytest.mark.parametrize("n, step_index, norm", [
+        (1, 11_714, 1.0219e150), (2, 11_628, 1.0045e150)])
+    @pytest.mark.parametrize("entry", ["simulate", "reference", "lockstep",
+                                       "simulate_regenerative"])
+    def test_matches_oracle(self, entry, n, step_index, norm):
+        model, cl, spec = one_shell(n, 1.03)
+        x0, steps = np.zeros(n), self.N_STEPS
+        with pytest.raises(DivergenceError) as want:
+            stepwise_path(cl, model, x0, steps, np.random.default_rng(0))
+        assert want.value.step_index == step_index
+        assert want.value.norm == pytest.approx(norm, rel=1e-4)
+        run = {
+            "simulate": lambda rng: simulate(cl, model, spec, x0, steps,
+                                             rng),
+            # The scalar loop at n = 1, the general path at n = 2.
+            "reference": lambda rng: reference_reward_average(
+                cl, model, spec, steps, rng),
+            "lockstep": lambda rng: lockstep(cl, model, spec, [rng], steps,
+                                             x0),
+            "simulate_regenerative": lambda rng: simulate_regenerative(
+                cl, model, Minorization(n=n, s_radius=1.0, log_beta=-10.0),
+                steps, rng, x0=x0),
+        }[entry]
+        with pytest.raises(DivergenceError) as got:
+            run(np.random.default_rng(0))
+        assert ((got.value.step_index, got.value.norm)
+                == (want.value.step_index, want.value.norm))
+
+    def test_scalar_reference_goes_on_past_a_large_sum(self, monkeypatch):
+        # From 5e149 at gain 0.9 the first chunk sums to about 5e150 with
+        # every state below the guard: that chunk alone is stepped again,
+        # on its own noise, and the chain goes on as simulate's does.
+        model, cl, spec = bench(1, 0.9, 0.5, 1.0)
+        x0 = np.array([5e149])
+        calls = []
+
+        def path(*args, **kwargs):
+            calls.append(kwargs["t0"])
+            return model_mod._path(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "_path", path)
+        rng, sim_rng = np.random.default_rng(1), np.random.default_rng(1)
+        got = reference_reward_average(cl, model, spec, 10_000, rng, x0=x0)
+        traj = simulate(cl, model, spec, x0, 10_000, sim_rng)
+        assert calls == [0]
+        assert got == pytest.approx(math.fsum(traj.rewards) / 10_000,
+                                    rel=1e-15)
+        assert rng.random() == sim_rng.random()
+
+
 class TestSeeding:
     def test_seed_derives_from_grid_values(self):
         ss = trial_seed_sequence(0, 2, 10, 0.55, 3)
@@ -865,7 +933,7 @@ class TestRunPipeline:
                for name in GOLDEN_SHA256}
         assert got == GOLDEN_SHA256
 
-    def test_config_errors_exit_2(self, tmp_path):
+    def test_config_errors_exit_2(self, tmp_path, capsys):
         bad_json = self.write(tmp_path, "{ not json")
         assert run_pipeline(bad_json, tmp_path / "o1") == 2
         unknown_top = self.write(tmp_path, {"swep": {}})
@@ -882,6 +950,14 @@ class TestRunPipeline:
         not_text = tmp_path / "binary.json"
         not_text.write_bytes(b"\xff\xfe{}")
         assert run_pipeline(not_text, tmp_path / "o7") == 2
+        # An empty run list would write a manifest of no results.
+        capsys.readouterr()
+        empty_run = self.write(tmp_path, {"sweep": self.GOOD["sweep"],
+                                          "run": []})
+        assert run_pipeline(empty_run, tmp_path / "o8") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run must") and err.count("\n") == 1
+        assert not (tmp_path / "o8").exists()
 
     def test_uncertifiable_exits_3(self, tmp_path):
         cfg = self.write(tmp_path, {
