@@ -61,15 +61,6 @@ class MinorizationViolation(SldsimError):
     """P(x, A) fell below beta * nu(A) for a checked pair."""
 
 
-class InsufficientBlocks(SldsimError):
-    """Too few complete regeneration blocks for the requested estimator."""
-
-    def __init__(self, have: int, need: int) -> None:
-        self.have = have
-        self.need = need
-        super().__init__(f"need >= {need} complete blocks, have {have}")
-
-
 class NoRegeneration(SldsimError):
     """The log contains no regeneration usable for the requested quantity."""
 

@@ -437,7 +437,7 @@ def _path(cl: ClosedLoop, model: SldsModel, x0: np.ndarray, n_steps: int,
     # Rows past a divergence overflow; they are never returned.
     with np.errstate(all="ignore"):
         for lo in range(1, n_steps, _CHECK_ROWS):
-            if not _row_norms(x) <= DIVERGENCE_LIMIT:   # NaN fails
+            if not math.sqrt(x.dot(x)) <= DIVERGENCE_LIMIT:     # NaN fails
                 end = lo
                 break
             for t, row in enumerate(states[lo:lo + _CHECK_ROWS], lo):
@@ -493,7 +493,8 @@ def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     1`` with ``|S_N / N - r(x_{N+1})| / (N + 1) < eps_stop``, else it runs
     all ``n_steps``.  Chain ``i`` follows the states :func:`simulate`
     gives on ``rngs[i]``, bit for bit.  Raises :class:`NoRegion`, and
-    :class:`DivergenceError` on a norm that is not ``<= DIVERGENCE_LIMIT``.
+    :class:`DivergenceError` on a norm that is not ``<= DIVERGENCE_LIMIT``,
+    ``x0``'s at step 0 as in :func:`simulate`.
     """
     if eps_stop is not None and not eps_stop > 0:
         raise ValueError("eps_stop must be positive")
@@ -502,6 +503,10 @@ def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
         raise ValueError(f"x0 must have shape ({model.n},)")
+    with np.errstate(all="ignore"):     # x0 . x0 may overflow
+        norm0 = math.sqrt(x0.dot(x0))
+    if not norm0 <= DIVERGENCE_LIMIT:   # NaN fails, as in _path
+        raise DivergenceError(step_index=0, norm=norm0)
     gains = _scalar_gains(cl)
     groups = [_lockstep(cl, model, spec, rngs[lo:lo + _GROUP], n_steps, x0,
                         eps_stop, gains)

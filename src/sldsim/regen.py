@@ -17,7 +17,6 @@ a much larger (still valid) constant. Both pairs are plain
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientBlocks, MinorizationViolation, NoRegeneration
+from .errors import MinorizationViolation, NoRegeneration
 from .ergodicity import Certificate, log_ball_volume, sample_in_ball
 from .model import (
     ClosedLoop,
@@ -43,7 +42,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 # States :func:`simulate_regenerative` adds per chunk past the horizon.
 _EXTENSION_CHUNK = 1024
 
-# Block resamples behind :func:`estimate_reward`'s standard error.
+# Block resamples behind :func:`estimate_all`'s standard error.
 _N_BOOTSTRAP = 200
 
 
@@ -202,8 +201,8 @@ class RegenerationLog:
         thetas = np.asarray(thetas, dtype=np.uint8)
         if thetas.shape[0] != states.shape[0]:
             raise ValueError("need one bit per state")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not 1 <= horizon <= states.shape[0]:
+            raise ValueError(f"horizon must lie in [1, {states.shape[0]}]")
         taus = np.flatnonzero(thetas == 1) + 1
         beyond = np.flatnonzero(taus > horizon)
         if beyond.size:
@@ -273,14 +272,14 @@ def simulate_regenerative(cl: ClosedLoop, model: SldsModel,
 @dataclass(frozen=True)
 class RewardEstimate:
     """A log's time-averaged reward with the reward sum of each complete
-    block (``RegenerationLog.blocks`` order); the error estimates need 30
-    blocks, and only :func:`estimate_all` fills in ``sigma2_as``."""
+    block (``RegenerationLog.blocks`` order), from :func:`estimate_all`;
+    ``standard_error`` and ``sigma2_as`` need 30 blocks and are None below."""
 
     value: float
     standard_error: float | None
     block_count: int
     block_sums: np.ndarray
-    sigma2_as: float | None = None
+    sigma2_as: float | None
 
 
 @dataclass(frozen=True)
@@ -305,65 +304,6 @@ def _block_sums(log: RegenerationLog, values: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     starts = np.asarray(log.taus[:-1], dtype=np.intp)
     return np.add.reduceat(values[: log.taus[-1]], starts)
-
-
-def estimate_reward(log: RegenerationLog, spec: RewardSpec,
-                    rng: np.random.Generator | None = None) -> RewardEstimate:
-    """Time-averaged reward over the nominal horizon with a block error bar.
-
-    The value is the plain average of ``r`` over the first N states. When
-    at least 30 complete blocks exist, a standard error is attached by
-    resampling whole blocks with replacement (``_N_BOOTSTRAP`` times) and
-    recomputing the ratio of block reward sums to block lengths; block
-    boundaries are regeneration times, so resampled blocks are
-    exchangeable.
-    """
-    r = rewards_of(log.states, spec)
-    value = float(np.mean(r[:log.horizon]))
-    if not log.taus:
-        warnings.warn("no regenerations in the log; returning a plain time "
-                      "average without block-based error estimates")
-    sums = _block_sums(log, r)
-    stderr = None
-    if log.block_count >= 30:
-        rng = np.random.default_rng(0) if rng is None else rng
-        lens = np.diff(np.asarray(log.taus, dtype=float))
-        m = sums.shape[0]
-        idx = rng.integers(0, m, size=(_N_BOOTSTRAP, m))
-        stat = sums[idx].sum(axis=1) / lens[idx].sum(axis=1)
-        stderr = float(np.std(stat, ddof=1))
-    return RewardEstimate(value=value, standard_error=stderr,
-                          block_count=log.block_count, block_sums=sums)
-
-
-def estimate_invariant_prob(log: RegenerationLog, predicate) -> float:
-    """Ratio estimator of the invariant probability of a set.
-
-    ``predicate`` maps a single state vector to a bool. The estimate is the
-    count of hits over complete blocks divided by the total block length,
-    which is consistent for the invariant measure of the set by the i.i.d.
-    block structure.
-    """
-    if log.block_count < 2:
-        raise InsufficientBlocks(have=log.block_count, need=2)
-    lo, hi = log.taus[0], log.taus[-1]
-    hits = sum(1 for i in range(lo, hi) if predicate(log.states[i]))
-    return hits / (hi - lo)
-
-
-def estimate_sigma2_as(log: RegenerationLog, spec: RewardSpec,
-                       rho_hat: float) -> float:
-    """Block estimate of the asymptotic variance of the reward average.
-
-    With rewards centered at ``rho_hat``, the estimator is the mean squared
-    block sum divided by the mean block length; complete blocks only.
-    """
-    if log.block_count < 30:
-        raise InsufficientBlocks(have=log.block_count, need=30)
-    r_full = rewards_of(log.states, spec) - rho_hat
-    sums = _block_sums(log, r_full)
-    lens = np.diff(np.asarray(log.taus, dtype=float))
-    return float(np.mean(sums ** 2) / np.mean(lens))
 
 
 def decompose_sum(log: RegenerationLog, spec: RewardSpec, rho_hat: float,
@@ -402,11 +342,35 @@ def decompose_sum(log: RegenerationLog, spec: RewardSpec, rho_hat: float,
 
 def estimate_all(log: RegenerationLog, spec: RewardSpec,
                  rng: np.random.Generator | None = None) -> RewardEstimate:
-    """:func:`estimate_reward` with ``sigma2_as`` filled in when the log
-    has enough blocks (the ``sldsim estimate`` payload)."""
-    est = estimate_reward(log, spec, rng=rng)
-    try:
-        sigma2 = estimate_sigma2_as(log, spec, rho_hat=est.value)
-    except InsufficientBlocks:
-        return est
-    return dataclasses.replace(est, sigma2_as=sigma2)
+    """Time-averaged reward over the nominal horizon with its block error
+    bar and asymptotic variance, from one pass over the rewards (the
+    ``sldsim estimate`` payload).
+
+    The value is the plain average of ``r`` over the first N states. When
+    at least 30 complete blocks exist, a standard error is attached by
+    resampling whole blocks with replacement (``_N_BOOTSTRAP`` times) and
+    recomputing the ratio of block reward sums to block lengths; block
+    boundaries are regeneration times, so resampled blocks are
+    exchangeable.  ``sigma2_as`` is then the mean squared block sum of the
+    rewards centered at the value, over the mean block length (Meyn &
+    Tweedie, ch. 17).
+    """
+    r = rewards_of(log.states, spec)
+    value = float(np.mean(r[:log.horizon]))
+    if not log.taus:
+        warnings.warn("no regenerations in the log; returning a plain time "
+                      "average without block-based error estimates")
+    sums = _block_sums(log, r)
+    stderr = sigma2 = None
+    if log.block_count >= 30:
+        rng = np.random.default_rng(0) if rng is None else rng
+        lens = np.diff(np.asarray(log.taus, dtype=float))
+        m = sums.shape[0]
+        idx = rng.integers(0, m, size=(_N_BOOTSTRAP, m))
+        stat = sums[idx].sum(axis=1) / lens[idx].sum(axis=1)
+        stderr = float(np.std(stat, ddof=1))
+        sigma2 = float(np.mean(_block_sums(log, r - value) ** 2)
+                       / np.mean(lens))
+    return RewardEstimate(value=value, standard_error=stderr,
+                          block_count=log.block_count, block_sums=sums,
+                          sigma2_as=sigma2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from scipy import stats
 
 from sldsim import (
     DivergenceError,
-    InsufficientBlocks,
     Minorization,
     MinorizationViolation,
     NoRegeneration,
@@ -23,9 +23,6 @@ from sldsim import (
     closed_loop,
     decompose_sum,
     estimate_all,
-    estimate_invariant_prob,
-    estimate_reward,
-    estimate_sigma2_as,
     operational_minorization,
     radial_shell,
     rewards_of,
@@ -270,6 +267,10 @@ class TestRegenerationLog:
             RegenerationLog.from_raw(states, thetas, horizon=0)
         with pytest.raises(ValueError):
             RegenerationLog.from_raw(states, thetas[:-1], horizon=5)
+        # A horizon past the last state would average fewer states.
+        RegenerationLog.from_raw(states, thetas, horizon=12)
+        with pytest.raises(ValueError, match=r"\[1, 12\]"):
+            RegenerationLog.from_raw(states, thetas, horizon=13)
 
 
 class TestSimulateRegenerative:
@@ -331,7 +332,7 @@ class TestSimulateRegenerative:
         assert log.overshoot is None
         assert len(log.states) == 200
         with pytest.warns(UserWarning):
-            est = estimate_reward(log, sys.spec)
+            est = estimate_all(log, sys.spec)
         assert est.block_count == 0
         assert est.standard_error is None
 
@@ -424,20 +425,65 @@ def iid_log(horizon, seed):
     return RegenerationLog.from_raw(states, np.ones(horizon + 1), horizon)
 
 
+def blocks_log(m, seed=22):
+    """N(0, 1) states cut into exactly ``m`` complete blocks of 1 to 5
+    steps, the last regeneration one step past the horizon."""
+    rng = np.random.default_rng(seed)
+    taus = np.cumsum(rng.integers(1, 6, size=m + 1))
+    bits = np.zeros(taus[-1], dtype=np.uint8)
+    bits[taus - 1] = 1
+    return RegenerationLog.from_raw(rng.standard_normal(taus[-1]), bits,
+                                    horizon=int(taus[-1]) - 1)
+
+
+def two_pass_reward(log, spec, rng=None):
+    """The reward estimate as two separate passes gave it before
+    :func:`estimate_all` took one: the value, its block bootstrap error
+    bar and the block sums (``sigma2_as`` left None)."""
+    r = rewards_of(log.states, spec)
+    value = float(np.mean(r[:log.horizon]))
+    if not log.taus:
+        warnings.warn("no regenerations in the log; returning a plain time "
+                      "average without block-based error estimates")
+    sums = regen._block_sums(log, r)
+    stderr = None
+    if log.block_count >= 30:
+        rng = np.random.default_rng(0) if rng is None else rng
+        lens = np.diff(np.asarray(log.taus, dtype=float))
+        m = sums.shape[0]
+        idx = rng.integers(0, m, size=(regen._N_BOOTSTRAP, m))
+        stat = sums[idx].sum(axis=1) / lens[idx].sum(axis=1)
+        stderr = float(np.std(stat, ddof=1))
+    return regen.RewardEstimate(value=value, standard_error=stderr,
+                                block_count=log.block_count, block_sums=sums,
+                                sigma2_as=None)
+
+
+def two_pass_sigma2(log, spec, rho_hat):
+    """The second pass: the asymptotic variance from rewards centered at
+    ``rho_hat``, or None below 30 complete blocks."""
+    if log.block_count < 30:
+        return None
+    r_full = rewards_of(log.states, spec) - rho_hat
+    sums = regen._block_sums(log, r_full)
+    lens = np.diff(np.asarray(log.taus, dtype=float))
+    return float(np.mean(sums ** 2) / np.mean(lens))
+
+
 class TestEstimators:
     def test_constant_reward_is_exact(self):
         log = iid_log(500, seed=15)
         policy = Policy(pi=np.zeros((1, 1)))
         flat = RewardSpec.bind(Q=np.zeros((1, 1)), R=np.eye(1),
                                policy=policy)
-        est = estimate_reward(log, flat)
+        est = estimate_all(log, flat)
         assert est.value == 0.0
-        assert estimate_sigma2_as(log, flat, rho_hat=0.0) == 0.0
+        assert est.sigma2_as == 0.0
 
     def test_iid_half_normal_mean(self):
         sys = zero_system(1)
         log = iid_log(100_000, seed=16)
-        est = estimate_reward(log, sys.spec)
+        est = estimate_all(log, sys.spec)
         target = math.sqrt(2.0 / math.pi)
         assert est.standard_error is not None
         assert abs(est.value - target) < 4 * est.standard_error
@@ -448,67 +494,75 @@ class TestEstimators:
     def test_two_seeds_agree_within_error(self):
         sys, log_a = contracting_log(seed=17)
         _, log_b = contracting_log(seed=18)
-        a = estimate_reward(log_a, sys.spec, rng=np.random.default_rng(0))
-        b = estimate_reward(log_b, sys.spec, rng=np.random.default_rng(0))
+        a = estimate_all(log_a, sys.spec, rng=np.random.default_rng(0))
+        b = estimate_all(log_b, sys.spec, rng=np.random.default_rng(0))
         gap = abs(a.value - b.value)
         assert gap < 4 * math.hypot(a.standard_error, b.standard_error)
-
-    def test_invariant_prob_iid_oracle(self):
-        log = iid_log(40_000, seed=19)
-        p = estimate_invariant_prob(log, lambda x: abs(x[0]) <= 1.0)
-        target = 2 * stats.norm.cdf(1.0) - 1.0
-        se = math.sqrt(target * (1 - target) / 40_000)
-        assert abs(p - target) < 4 * se
-        assert estimate_invariant_prob(log, lambda x: True) == 1.0
-        assert estimate_invariant_prob(log, lambda x: False) == 0.0
-
-    def test_invariant_prob_needs_two_blocks(self):
-        states = np.zeros(10)
-        thetas = np.zeros(10, dtype=np.uint8)
-        thetas[4] = 1
-        log = RegenerationLog.from_raw(states, thetas, horizon=3)
-        with pytest.raises(InsufficientBlocks):
-            estimate_invariant_prob(log, lambda x: True)
-
-    def test_ratio_consistency_across_horizons(self):
-        sys, log_short = contracting_log(horizon=5000, seed=20)
-        _, log_long = contracting_log(horizon=20_000, seed=20)
-        pred = lambda x: abs(x[0]) <= 2.0  # noqa: E731
-        p_short = estimate_invariant_prob(log_short, pred)
-        p_long = estimate_invariant_prob(log_long, pred)
-        se = math.sqrt(0.25 / 5000) + math.sqrt(0.25 / 20_000)
-        assert abs(p_short - p_long) < 5 * se
 
     def test_sigma2_matches_iid_variance(self):
         sys = zero_system(1)
         log = iid_log(100_000, seed=21)
-        rho = float(np.mean(rewards_of(log.states[:log.horizon],
-                                       sys.spec)))
-        s2 = estimate_sigma2_as(log, sys.spec, rho_hat=rho)
+        s2 = estimate_all(log, sys.spec).sigma2_as
         target = 1.0 - 2.0 / math.pi
         assert abs(s2 - target) / target < 0.05
 
     def test_sigma2_needs_thirty_blocks(self):
-        sys, log = contracting_log(horizon=2000, seed=22)
-        bits = np.zeros(60, dtype=np.uint8)
-        bits[[t - 1 for t in log.taus if t <= 60]] = 1
-        small = RegenerationLog.from_raw(log.states[:60], bits, horizon=50)
-        if small.block_count < 30:
-            with pytest.raises(InsufficientBlocks):
-                estimate_sigma2_as(small, sys.spec, rho_hat=1.0)
+        # Both error estimates switch on at exactly 30 complete blocks.
+        spec = zero_system(1).spec
+        below, at = blocks_log(29), blocks_log(30)
+        assert (below.block_count, at.block_count) == (29, 30)
+        est = estimate_all(below, spec)
+        assert est.standard_error is None and est.sigma2_as is None
+        est = estimate_all(at, spec)
+        assert isinstance(est.standard_error, float)
+        assert isinstance(est.sigma2_as, float)
 
-    def test_estimate_all_is_one_record(self):
+    @pytest.mark.parametrize("make", [
+        lambda: contracting_log()[1],
+        lambda: iid_log(2000, seed=34),
+        lambda: RegenerationLog.from_raw(np.arange(6.0), np.zeros(6), 5),
+        lambda: RegenerationLog.from_raw(np.arange(6.0),
+                                         [0, 0, 0, 0, 1, 0], 3),
+        lambda: blocks_log(29),
+        lambda: blocks_log(30),
+    ], ids=["contracting", "iid", "no-regeneration", "zero-blocks",
+            "29-blocks", "30-blocks"])
+    def test_matches_two_pass_oracle(self, make):
+        # One reward pass gives the two passes' figures bit for bit, and
+        # the same warning when the log never regenerates.
+        log, spec = make(), contracting_system(1).spec
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            est = estimate_all(log, spec, rng=np.random.default_rng(5))
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            old = two_pass_reward(log, spec, rng=np.random.default_rng(5))
+        assert ([str(w.message) for w in got]
+                == [str(w.message) for w in want])
+        assert est.value == old.value
+        assert est.standard_error == old.standard_error
+        assert est.sigma2_as == two_pass_sigma2(log, spec, old.value)
+        assert est.block_count == old.block_count
+        assert np.array_equal(est.block_sums, old.block_sums)
+
+    def test_estimate_all_is_one_record(self, monkeypatch):
+        # Value, error bar, sigma2_as and block sums come from one pass
+        # over the rewards.
         sys, log = contracting_log(horizon=5000, seed=32)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return rewards_of(*args)
+
+        monkeypatch.setattr(regen, "rewards_of", counted)
         est = estimate_all(log, sys.spec)
-        plain = estimate_reward(log, sys.spec)
-        assert est.value == plain.value
-        assert est.standard_error == plain.standard_error
+        assert len(calls) == 1
         assert est.block_count == log.block_count >= 30
-        assert est.sigma2_as == estimate_sigma2_as(log, sys.spec, est.value)
+        assert est.standard_error > 0 and est.sigma2_as > 0
         r = rewards_of(log.states, sys.spec)
         assert est.block_sums.tolist() == pytest.approx(
             [float(np.sum(r[a:b])) for a, b in log.blocks], rel=1e-12)
-        assert plain.sigma2_as is None
 
     def test_estimate_all_without_blocks(self):
         sys = contracting_system(1)

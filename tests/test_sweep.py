@@ -468,19 +468,20 @@ class TestLockstepKernel:
                                 self.rngs(4), 10_000)
 
     @pytest.mark.parametrize("dense", [False, True])
-    def test_divergence_guard_catches_nan(self, dense, monkeypatch):
+    def test_divergence_guard_catches_nan(self, dense):
         # Zero gain on an infinite start state gives 0 * inf = NaN, a
-        # norm that no ``>`` comparison flags.
+        # norm that no ``>`` comparison flags.  lockstep reports that start
+        # state itself at step 0, so the kernel is called past its check.
         model = SldsModel(n=2, p=1, regions=(radial_shell(0.0),),
                           dynamics=((np.zeros((2, 2)), np.zeros((2, 1))),))
         policy = Policy(pi=np.zeros((1, 2)))
         spec = RewardSpec.bind(Q=np.eye(2), R=np.eye(1), policy=policy)
-        if dense:
-            monkeypatch.setattr(model_mod, "_scalar_gains", lambda cl: None)
+        cl = closed_loop(model, policy)
+        gains = None if dense else model_mod._scalar_gains(cl)
         with pytest.raises(DivergenceError) as info, \
                 np.errstate(invalid="ignore"):
-            lockstep(closed_loop(model, policy), model, spec, self.rngs(3),
-                     10, x0=np.array([math.inf, 0.0]))
+            model_mod._lockstep(cl, model, spec, self.rngs(3), 10,
+                                np.array([math.inf, 0.0]), None, gains)
         assert math.isnan(info.value.norm)
         assert info.value.step_index == 1
 
@@ -626,33 +627,53 @@ class TestDivergenceReport:
 
     N_STEPS = 40_000
 
+    @staticmethod
+    def report(entry, n, x0, steps):
+        """``(step_index, norm)`` of the divergence that ``entry`` raises
+        on the one-shell model of gain 1.03 from ``x0``, seed 0."""
+        model, cl, spec = one_shell(n, 1.03)
+        run = {
+            "stepwise": lambda rng: stepwise_path(cl, model, x0, steps, rng),
+            "simulate": lambda rng: simulate(cl, model, spec, x0, steps,
+                                             rng),
+            # The scalar loop at n = 1, the general path at n = 2.
+            "reference": lambda rng: reference_reward_average(
+                cl, model, spec, steps, rng, x0=x0),
+            "lockstep": lambda rng: lockstep(cl, model, spec, [rng], steps,
+                                             x0),
+            "pseudo_sample_complexity": lambda rng: pseudo_sample_complexity(
+                cl, model, spec, 0.01, rng, steps, x0=x0),
+            "simulate_regenerative": lambda rng: simulate_regenerative(
+                cl, model, Minorization(n=n, s_radius=1.0, log_beta=-10.0),
+                steps, rng, x0=x0),
+        }[entry]
+        with pytest.raises(DivergenceError) as info:
+            run(np.random.default_rng(0))
+        return info.value.step_index, info.value.norm
+
     @pytest.mark.parametrize("n, step_index, norm", [
         (1, 11_714, 1.0219e150), (2, 11_628, 1.0045e150)])
     @pytest.mark.parametrize("entry", ["simulate", "reference", "lockstep",
                                        "simulate_regenerative"])
     def test_matches_oracle(self, entry, n, step_index, norm):
-        model, cl, spec = one_shell(n, 1.03)
-        x0, steps = np.zeros(n), self.N_STEPS
-        with pytest.raises(DivergenceError) as want:
-            stepwise_path(cl, model, x0, steps, np.random.default_rng(0))
-        assert want.value.step_index == step_index
-        assert want.value.norm == pytest.approx(norm, rel=1e-4)
-        run = {
-            "simulate": lambda rng: simulate(cl, model, spec, x0, steps,
-                                             rng),
-            # The scalar loop at n = 1, the general path at n = 2.
-            "reference": lambda rng: reference_reward_average(
-                cl, model, spec, steps, rng),
-            "lockstep": lambda rng: lockstep(cl, model, spec, [rng], steps,
-                                             x0),
-            "simulate_regenerative": lambda rng: simulate_regenerative(
-                cl, model, Minorization(n=n, s_radius=1.0, log_beta=-10.0),
-                steps, rng, x0=x0),
-        }[entry]
-        with pytest.raises(DivergenceError) as got:
-            run(np.random.default_rng(0))
-        assert ((got.value.step_index, got.value.norm)
-                == (want.value.step_index, want.value.norm))
+        x0 = np.zeros(n)
+        want = self.report("stepwise", n, x0, self.N_STEPS)
+        assert want[0] == step_index
+        assert want[1] == pytest.approx(norm, rel=1e-4)
+        assert self.report(entry, n, x0, self.N_STEPS) == want
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("start", [math.nan, 1e200], ids=["nan", "1e200"])
+    @pytest.mark.parametrize("entry", ["reference", "lockstep",
+                                       "pseudo_sample_complexity",
+                                       "simulate_regenerative"])
+    def test_bad_start_state(self, entry, start, n):
+        # A start state past the guard is a divergence at step 0 whatever
+        # the entry point; x0 . x0 overflows at 1e200 without a warning.
+        x0 = np.full(n, start)
+        want = self.report("simulate", n, x0, 100)
+        assert want[0] == 0
+        np.testing.assert_equal(self.report(entry, n, x0, 100), want)
 
     def test_scalar_reference_goes_on_past_a_large_sum(self, monkeypatch):
         # From 5e149 at gain 0.9 the first chunk sums to about 5e150 with
