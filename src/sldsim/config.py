@@ -109,7 +109,9 @@ def _region_to_dict(region: Region) -> dict:
 
 
 def model_config_to_dict(cfg: ModelConfig) -> dict:
-    return {
+    """The config as JSON data; ``normalize_reward`` is written only when
+    ``P_hat`` is not ``Q + pi' R pi``, so it reloads to the same ``P_hat``."""
+    data = {
         "n": cfg.model.n,
         "p": cfg.model.p,
         "regions": [_region_to_dict(r) for r in cfg.model.regions],
@@ -120,6 +122,10 @@ def model_config_to_dict(cfg: ModelConfig) -> dict:
         "R": cfg.reward.r.tolist(),
         "rho": cfg.rho_ball,
     }
+    pi, reward = cfg.policy.pi, cfg.reward
+    if not np.array_equal(reward.p_hat, reward.q + pi.T @ reward.r @ pi):
+        data["normalize_reward"] = True
+    return data
 
 
 def model_config_from_dict(data: dict) -> ModelConfig:

@@ -17,12 +17,14 @@ the sample-complexity bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassificationConflict, NotCertifiable, UncoveredExterior
+from .errors import (ClassificationConflict, ConfigError, NotCertifiable,
+                     UncoveredExterior)
 from .model import ClosedLoop, SldsModel, _region_products, _row_dots
 
 GAMMA_FLOOR = 1e-6
@@ -31,6 +33,9 @@ GAMMA_FLOOR = 1e-6
 # two sides of an inequality that holds with equality (an isometry scaled
 # to the worst gain) differ by a few ulps in floating point.
 _DRIFT_SLACK = 16 * np.finfo(float).eps
+
+_REACH_TOL = 1e-9
+_MAX_SUBSETS = 100_000      # maximising a norm over a polytope is NP-hard
 
 
 @dataclass(frozen=True)
@@ -91,62 +96,40 @@ class DriftReport:
         return not self.quadratic_violations and not self.scaled_violations
 
 
-def classify_regions(model: SldsModel, rho_ball: float,
-                     rng: np.random.Generator | None = None,
-                     n_directions: int = 1000) -> RegionClassification:
+def classify_regions(model: SldsModel,
+                     rho_ball: float) -> RegionClassification:
     """Split regions by whether they intersect ``{||x|| > rho_ball}``.
 
-    Radial shells are decided analytically from their outer radius. For a
-    polyhedral region the ``declared_unbounded`` flag decides, and the flag
-    is cross-checked by asking whether some ray along a random direction
-    meets the region just outside the ball or beyond (exact along each
-    ray).  A region whose exterior part subtends a very small solid angle
-    can go unseen: a false alarm when it is declared unbounded, an
-    accepted misdeclaration when it is declared bounded; raise
-    ``n_directions`` then.
+    Radial shells are decided from their outer radius, polyhedra exactly
+    by :func:`_reaches`.  A region's ``declared_unbounded``, when given,
+    must agree with the computed answer.
 
     Raises
     ------
     ClassificationConflict
-        A declared flag contradicts the directional probe; the first
+        A declared flag contradicts the computed answer; the first
         conflicting region in declaration order is reported.
+    ConfigError
+        A polyhedron has more than ``_MAX_SUBSETS`` row subsets.
     UncoveredExterior
         No region claims any point outside the ball.
     """
     if rho_ball <= 0:
         raise ValueError("rho_ball must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    probe = None     # run at the first polyhedral region
-    near = rho_ball * (1.0 + 1e-9) + 1e-9
-
     unbounded: list[int] = []
     bounded: list[int] = []
     for j, region in enumerate(model.regions):
         if region.kind == "radial":
             reaches = region.r_hi > rho_ball
-            if region.declared_unbounded is not None and \
-                    region.declared_unbounded != reaches:
-                raise ClassificationConflict(
-                    j, f"declared_unbounded={region.declared_unbounded} but "
-                       f"the shell ({region.r_lo}, {region.r_hi}] "
-                       f"{'reaches' if reaches else 'does not reach'} "
-                       f"outside radius {rho_ball}")
         else:
-            if probe is None:
-                dirs = rng.standard_normal((n_directions, model.n))
-                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-                probe = dict(zip(model.table.poly_ids,
-                                 model.table.rays_reach(dirs, near).tolist()))
-            hit = probe[j]
-            declared = bool(region.declared_unbounded)
-            if declared != hit:
-                raise ClassificationConflict(
-                    j, f"declared_unbounded={declared} but the directional "
-                       f"probe ({n_directions} directions) "
-                       f"{'found' if hit else 'found no'} membership outside "
-                       f"radius {rho_ball}")
-            reaches = declared
+            reaches = _reaches(region.L, region.C, rho_ball, j)
+        if region.declared_unbounded is not None and \
+                region.declared_unbounded != reaches:
+            raise ClassificationConflict(
+                j, f"declared_unbounded={region.declared_unbounded} but "
+                   f"the {region.kind} region "
+                   f"{'reaches' if reaches else 'does not reach'} "
+                   f"outside radius {rho_ball}")
         (unbounded if reaches else bounded).append(j)
 
     if not unbounded:
@@ -155,6 +138,39 @@ def classify_regions(model: SldsModel, rho_ball: float,
             "cannot be covered by this partition")
     return RegionClassification(unbounded_set=tuple(unbounded),
                                 bounded_set=tuple(bounded))
+
+
+def _reaches(L: np.ndarray, C: np.ndarray, r: float, j: int) -> bool:
+    """Whether region ``j``, ``{x : L x <= C}``, has a vertex and also a
+    recession ray, a line (``rank L < n``) or a vertex of norm above ``r
+    (1 + 1e-9) + 1e-9`` (a norm peaks over a polytope at a vertex).  In
+    units of ``r`` and the row space of ``L`` (rank ``k``), a null
+    direction ``(y, t)`` of ``k`` rows of ``{L y - C t <= 0, -t <= 0}``
+    that meets every row is a vertex ``y / t`` if ``t > 0``, else a ray.
+    Rows and directions have unit length; "meets" is a product of at most
+    ``_REACH_TOL``, and ``t > 0`` and rank ``k`` need more than it."""
+    scale = np.linalg.norm(L, axis=1)
+    scale[scale == 0.0] = 1.0
+    L, C = L / scale[:, None], C / (scale * r)
+    _, s, vt = np.linalg.svd(L)
+    k = int(np.count_nonzero(s > _REACH_TOL))
+    rows = np.vstack([np.c_[L @ vt[:k].T, -C], np.r_[np.zeros(k), -1.0]])
+    rows = rows[rows.any(axis=1)]       # drop 0 <= 0
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    if (count := math.comb(len(rows), k)) > _MAX_SUBSETS:
+        raise ConfigError(f"region {j}: deciding reach takes {count} row "
+                          f"subsets of rank {k}, more than {_MAX_SUBSETS}")
+    rays = []
+    for subset in itertools.combinations(range(len(rows)), k):
+        _, s, vt = np.linalg.svd(rows[list(subset)])
+        if (s > _REACH_TOL).all():      # independent rows
+            rays += [d for d in (vt[k], -vt[k])
+                     if (rows @ d <= _REACH_TOL).all()]
+    d = np.array(rays).reshape(-1, k + 1)
+    t = d[:, k]
+    y = d[t > _REACH_TOL, :k] / t[t > _REACH_TOL, None]     # the vertices
+    return len(y) > 0 and (len(y) < len(d) or k < L.shape[1] or bool(
+        (np.linalg.norm(y, axis=1) > 1.0 + 1e-9 + 1e-9 / r).any()))
 
 
 def certify(cl: ClosedLoop, classification: RegionClassification,

@@ -34,7 +34,7 @@ class DivergenceError(SldsimError):
 
 
 class ClassificationConflict(SldsimError):
-    """A polyhedral region's declared boundedness contradicts probing."""
+    """A region's ``declared_unbounded`` contradicts its classification."""
 
     def __init__(self, region_index: int, detail: str) -> None:
         self.region_index = region_index
@@ -74,7 +74,8 @@ class MaxStepsExceeded(SldsimError):
 
 
 class ConfigError(SldsimError):
-    """A configuration file is missing, unreadable, or malformed."""
+    """A configuration file is missing, unreadable, or malformed, or a
+    polyhedron in it has too many row subsets to classify."""
 
 
 # (failures, exit code, message prefix); the first match wins.  A region

@@ -56,9 +56,7 @@ class Region:
       shell (``r_lo == 0``) is closed at the origin.
     - ``polyhedral``: the set ``{x : L x <= C}`` with ``L`` of shape (q, n).
 
-    ``declared_unbounded`` is an explicit claim that the region reaches
-    outside any ball; it is required for polyhedral regions (radial shells
-    are decided analytically from ``r_hi``).
+    ``declared_unbounded``, if given, must match :func:`classify_regions`.
     """
 
     kind: str
@@ -74,19 +72,16 @@ class Region:
                 raise ValueError(f"radial shell needs 0 <= r_lo < r_hi, got "
                                  f"({self.r_lo}, {self.r_hi})")
         elif self.kind == "polyhedral":
-            if self.L is None or self.C is None:
-                raise ValueError("polyhedral region needs L and C")
-            L = np.asarray(self.L, dtype=float)
+            L = np.asarray(self.L, dtype=float)     # None: a NaN scalar
             C = np.asarray(self.C, dtype=float)
-            if L.ndim != 2 or C.shape != (L.shape[0],):
-                raise ValueError("L must be (q, n) and C must be (q,)")
+            if L.ndim != 2 or C.shape != (L.shape[0],) or not (
+                    np.isfinite(L).all() and np.isfinite(C).all()):
+                raise ValueError("L must be (q, n) and C (q,), all finite")
             if L.shape[0] == 0:
                 raise ValueError("a polyhedral region needs an inequality; "
                                  "radial_shell(0.0) is the whole space")
             object.__setattr__(self, "L", L)
             object.__setattr__(self, "C", C)
-            if self.declared_unbounded is None:
-                raise ValueError("polyhedral region needs declared_unbounded")
         else:
             raise ValueError(f"unknown region kind {self.kind!r}")
 
@@ -96,10 +91,9 @@ def radial_shell(r_lo: float, r_hi: float = math.inf) -> Region:
     return Region(kind="radial", r_lo=r_lo, r_hi=r_hi)
 
 
-def polyhedron(L, C, declared_unbounded: bool) -> Region:
+def polyhedron(L, C, declared_unbounded: bool | None = None) -> Region:
     """Convenience constructor for ``{x : L x <= C}``."""
-    return Region(kind="polyhedral", L=np.asarray(L, dtype=float),
-                  C=np.asarray(C, dtype=float),
+    return Region(kind="polyhedral", L=L, C=C,
                   declared_unbounded=declared_unbounded)
 
 
@@ -193,19 +187,6 @@ class RegionTable:
             raise NoRegion(x[np.argmax(missing)])
         return j
 
-    def rays_reach(self, dirs: np.ndarray, r: float) -> np.ndarray:
-        """For each polyhedron, in ``poly_ids`` order, whether a ray ``t
-        u`` (``t >= 0``, ``u`` a row of ``dirs``) meets it at a ``t >= r``;
-        exact along each ray, where a polyhedron is an interval of ``t``."""
-        a = dirs @ self.L.T
-        t = np.divide(self.C, a, out=np.zeros_like(a), where=a != 0)
-        lo = np.where(a < 0, t, -math.inf)
-        hi = np.where(a > 0, t, math.inf)
-        hi[(a == 0) & (self.C < 0)] = -math.inf     # a parallel face: no t
-        lo = np.maximum.reduceat(lo, self.starts, axis=1)
-        hi = np.minimum.reduceat(hi, self.starts, axis=1)
-        return (hi >= np.maximum(lo, r)).any(axis=0)
-
 
 @dataclass(frozen=True)
 class SldsModel:
@@ -277,6 +258,8 @@ class RewardSpec:
     def bind(cls, Q, R, policy: Policy, normalize: bool = False) -> "RewardSpec":
         Q = np.asarray(Q, dtype=float)
         R = np.asarray(R, dtype=float)
+        if Q.ndim != 2 or R.ndim != 2:
+            raise ValueError("Q and R must be matrices")
         n = Q.shape[0]
         p = R.shape[0]
         _as_matrix(Q, n, n, "Q")

@@ -55,7 +55,7 @@ class System(NamedTuple):
 def region_contains(region, x) -> bool:
     """Whether ``region`` holds the state ``x``, by the per-region rule
     that the package's ``Region.contains`` used to apply; the oracle of
-    the region table and of the classification probe."""
+    the region table."""
     if region.kind == "radial":
         r = float(np.linalg.norm(x))
         if region.r_lo == 0.0:

@@ -29,6 +29,7 @@ from sldsim import (
     write_trajectory_csv,
 )
 from sldsim.config import fmt, sha256_of_file
+from sldsim.ergodicity import _MAX_SUBSETS
 import sldsim.cli as cli
 from sldsim.cli import main
 from sldsim.errors import (ClassificationConflict, DivergenceError,
@@ -125,10 +126,24 @@ class TestModelConfigRoundTrip:
     def test_normalize_flag(self):
         data = model_config_to_dict(ModelConfig(
             *build_case_study(1, 0.9, 2.0, 10.0), rho_ball=10.0))
+        assert "normalize_reward" not in data
         data["Q"] = [[4.0]]
         data["normalize_reward"] = True
         cfg = model_config_from_dict(data)
         assert cfg.reward.p_hat_is_identity
+
+    def test_normalize_flag_survives_save_and_load(self, tmp_path):
+        data = model_config_to_dict(ModelConfig(
+            *build_case_study(2, 0.9, 2.0, 10.0), rho_ball=10.0))
+        for q, flag in ((4.0, True), (4.0, False), (0.5, True)):
+            data.update(Q=(q * np.eye(2)).tolist(), normalize_reward=flag)
+            cfg = model_config_from_dict(data)
+            save_model_config(cfg, tmp_path / "model.json")
+            again = load_model_config(tmp_path / "model.json")
+            assert np.array_equal(again.reward.p_hat, cfg.reward.p_hat)
+            # The flag is written only where it changed P_hat.
+            assert ("normalize_reward" in model_config_to_dict(cfg)) == \
+                (flag and q > 1.0)
 
     def test_error_reporting(self):
         good = model_config_to_dict(ModelConfig(
@@ -400,10 +415,14 @@ class TestCliCertify:
         ("poly4", lambda d: d["regions"][0]["C"].__setitem__(0, math.nan)),
         ("poly4", lambda d: d["regions"][0]["L"][0].__setitem__(0, math.inf)),
         ("readme", lambda d: d["A"][1][0].__setitem__(0, 10**400)),
+        # Q and R are matrices, not scalars.
+        ("readme", lambda d: d.update(Q=5)),
+        ("readme", lambda d: d.update(R=5)),
     ], ids=["string-flag", "unknown-key", "float-n", "nan-rho",
             "bool-r_lo", "bool-r_hi", "string-r_lo", "bool-A", "string-B",
             "bool-pi", "bool-Q", "string-R", "bool-L", "bool-C",
-            "nan-pi", "inf-pi", "nan-C", "inf-L", "huge-int-A"])
+            "nan-pi", "inf-pi", "nan-C", "inf-L", "huge-int-A",
+            "scalar-Q", "scalar-R"])
     def test_misread_config_exits_2(self, base, edit, tmp_path, capsys):
         # "readme" is the README's model config: the n = 1 case study.
         source = (POLY4_JSON if base == "poly4"
@@ -432,6 +451,31 @@ class TestCliCertify:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: region 0: ") and err.count("\n") == 1
+
+    def test_polyhedron_past_the_subset_cap_exits_2(self, tmp_path, capsys):
+        # Deciding reach enumerates C(m + 1, n) row subsets of an (m, n)
+        # polyhedron; one past the cap is refused, not sampled.
+        n = 5
+        m = next(m for m in range(n, 100)
+                 if math.comb(m + 1, n) > _MAX_SUBSETS)
+        L = np.random.default_rng(0).standard_normal((m, n))
+        data = {"n": n, "p": 1,
+                "regions": [{"kind": "polyhedral", "L": L.tolist(),
+                             "C": [1.0] * m, "declared_unbounded": True},
+                            {"kind": "radial", "r_lo": 0.0, "r_hi": None,
+                             "declared_unbounded": None}],
+                "A": [np.zeros((n, n)).tolist()] * 2,
+                "B": [np.zeros((n, 1)).tolist()] * 2,
+                "pi": np.zeros((1, n)).tolist(), "Q": np.eye(n).tolist(),
+                "R": [[1.0]], "rho": 10.0}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        assert main(["certify", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: region 0: deciding reach takes "
+                              f"{math.comb(m + 1, n)} row subsets")
 
 
 class TestCliEstimate:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
@@ -32,10 +33,11 @@ from sldsim import (
     region_of,
     sample_in_ball,
 )
-from sldsim.ergodicity import _DRIFT_SLACK, GAMMA_FLOOR
+from sldsim.errors import ConfigError
+from sldsim.ergodicity import (_DRIFT_SLACK, _MAX_SUBSETS, GAMMA_FLOOR,
+                               RegionClassification, _reaches)
 
-from conftest import (CASE_RHO, build_system, poly4, region_contains,
-                      zero_system)
+from conftest import CASE_RHO, build_system, poly4, zero_system
 
 POLY4_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "poly4.json"
 
@@ -64,8 +66,8 @@ class TestClassifyRegions:
             classify_regions(bad, 10.0)
 
     def test_polyhedral_probe_catches_false_bounded_claim(self):
-        # A half space reaches outside any ball; declaring it bounded
-        # must trip the directional probe.
+        # A half space reaches outside any ball; declaring it bounded is a
+        # conflict.
         model = SldsModel(
             n=2, p=1,
             regions=(polyhedron([[1.0, 0.0]], [0.0],
@@ -97,13 +99,16 @@ class TestClassifyRegions:
         with pytest.raises(ValueError):
             classify_regions(sys.model, 0.0)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_box_outside_the_ball_is_not_bounded(self, n):
-        # The box lies between the two radii the former probe sampled, so
-        # it passed as bounded: certify then gave gamma = 0.25 and c = 25,
-        # and the drift inequality failed at x = 11.5.
+    @pytest.mark.parametrize("n, half_width", [(1, 1.0), (2, 1.0),
+                                               (2, 0.01)],
+                             ids=["1", "2", "2-thin"])
+    def test_box_outside_the_ball_is_not_bounded(self, n, half_width):
+        # A sampled probe let such boxes pass as bounded: certify then
+        # gave gamma = 0.25 and c = 25, and the drift inequality failed at
+        # x = 11.5.  The thin box [11, 12] x [-0.01, 0.01] passed the
+        # 1,000-direction ray probe (seed 0).
         with pytest.raises(ClassificationConflict) as info:
-            classify_regions(exterior_box(n, declared_unbounded=False), 10.0)
+            classify_regions(exterior_box(n, False, half_width), 10.0)
         assert info.value.region_index == 0
 
     def test_box_outside_the_ball_declared_unbounded_is_not_certifiable(self):
@@ -116,12 +121,36 @@ class TestClassifyRegions:
         assert info.value.region_index == 0
         assert info.value.gamma == pytest.approx(25.0)
 
+    def test_thin_cone_declared_unbounded_is_accepted(self):
+        # The cone {x_1 >= 0, |x_2| <= 1e-4 x_1} is missed by a sampled
+        # probe (a false conflict at seed 0 with 1,000 directions).
+        cone = polyhedron([[-1.0, 0.0], [-1e-4, 1.0], [-1e-4, -1.0]],
+                          np.zeros(3), True)
+        model = SldsModel(n=2, p=1, regions=(cone, radial_shell(0.0)),
+                          dynamics=((0.5 * np.eye(2), np.zeros((2, 1))),)
+                          * 2)
+        assert classify_regions(model, 10.0).unbounded_set == (0, 1)
 
-def exterior_box(n, declared_unbounded):
-    """The box ``[11, 12] x [-1, 1]^(n - 1)`` with gain 5, wholly outside
+    def test_undeclared_polyhedra_are_classified(self):
+        eye = np.eye(2)
+        box = np.vstack([eye, -eye])
+        regions = (polyhedron(box, np.ones(4)),                 # inside
+                   polyhedron(box, [12.0, 1.0, -11.0, 1.0]),    # outside
+                   polyhedron([[1.0, 0.0]], [0.0]),             # half-plane
+                   radial_shell(0.0))
+        model = SldsModel(n=2, p=1, regions=regions,
+                          dynamics=((0.5 * eye, np.zeros((2, 1))),) * 4)
+        cls_ = classify_regions(model, 10.0)
+        assert cls_ == RegionClassification(unbounded_set=(1, 2, 3),
+                                            bounded_set=(0,))
+
+
+def exterior_box(n, declared_unbounded, half_width=1.0):
+    """The box ``[11, 12] x [-w, w]^(n - 1)`` with gain 5, wholly outside
     the ball of radius 10, then the whole space with gain 0.5."""
     L = np.vstack([np.eye(n), -np.eye(n)])
-    C = np.r_[12.0, np.ones(n - 1), -11.0, np.ones(n - 1)]
+    w = half_width * np.ones(n - 1)
+    C = np.r_[12.0, w, -11.0, w]
     return SldsModel(
         n=n, p=1,
         regions=(polyhedron(L, C, declared_unbounded), radial_shell(0.0)),
@@ -129,41 +158,52 @@ def exterior_box(n, declared_unbounded):
                   (0.5 * np.eye(n), np.zeros((n, 1)))))
 
 
-def classify_oracle(model, rho_ball, rng, n_directions=1000):
-    """The two-radius probe :func:`classify_regions` used before the ray
-    probe, kept as its oracle: a polyhedron reaches outside the ball if
-    it holds a point at one of two radii along some direction, just
-    outside the ball or far away.  Returns the classification, the index
-    of the first conflicting region, or ``"uncovered"``."""
-    dirs = None
-    near = rho_ball * (1.0 + 1e-9) + 1e-9
-    far = max(1e6, 1e3 * rho_ball)
+def reach_oracle(L, C, r, dirs):
+    """Whether ``{x : L x <= C}`` holds a point of norm above ``r (1 +
+    1e-9) + 1e-9``, by brute force: some vertex (the solution of ``n``
+    rows that meets the others) lies beyond it, or some direction ``u``
+    of ``dirs`` has ``L u < 0``, so that ``t u`` lies in the polyhedron
+    for every large ``t``.  Right for rows in general position whose
+    recession cone, if not ``{0}``, some direction enters."""
+    L, C = np.asarray(L, dtype=float), np.asarray(C, dtype=float)
+    near = r * (1.0 + 1e-9) + 1e-9
+    for rows in itertools.combinations(range(len(L)), L.shape[1]):
+        sub = L[list(rows)]
+        if np.linalg.cond(sub) > 1e9:
+            continue
+        x = np.linalg.solve(sub, C[list(rows)])
+        if np.all(L @ x <= C + 1e-9 * (1.0 + np.abs(C))) and \
+                np.linalg.norm(x) > near:
+            return True
+    return bool(((dirs @ L.T).max(axis=1) < 0.0).any())
+
+
+def unit_directions(n, count=100_000, seed=0):
+    d = np.random.default_rng(seed).standard_normal((count, n))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def classify_oracle(model, rho_ball):
+    """:func:`classify_regions` by :func:`reach_oracle`: the
+    classification, the index of the first conflicting region, or
+    ``"uncovered"``."""
+    dirs = unit_directions(model.n)
     unbounded, bounded = [], []
     for j, region in enumerate(model.regions):
-        if region.kind == "radial":
-            reaches = region.r_hi > rho_ball
-            if region.declared_unbounded is not None and \
-                    region.declared_unbounded != reaches:
-                return j
-        else:
-            if dirs is None:
-                dirs = rng.standard_normal((n_directions, model.n))
-                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            hit = any(region_contains(region, near * u)
-                      or region_contains(region, far * u) for u in dirs)
-            reaches = bool(region.declared_unbounded)
-            if reaches != hit:
-                return j
+        reaches = (region.r_hi > rho_ball if region.kind == "radial"
+                   else reach_oracle(region.L, region.C, rho_ball, dirs))
+        if region.declared_unbounded not in (None, reaches):
+            return j
         (unbounded if reaches else bounded).append(j)
     if not unbounded:
         return "uncovered"
     return (tuple(unbounded), tuple(bounded))
 
 
-def classify_outcome(model, rho_ball, rng):
+def classify_outcome(model, rho_ball):
     """:func:`classify_regions` in the oracle's terms."""
     try:
-        cls_ = classify_regions(model, rho_ball, rng)
+        cls_ = classify_regions(model, rho_ball)
     except ClassificationConflict as exc:
         return exc.region_index
     except UncoveredExterior:
@@ -183,9 +223,8 @@ def with_flags(model, flags):
 
 
 def probe_models(n):
-    """Models on which the two-radius oracle is right: every polyhedron
-    either stays inside radius 10 or reaches infinity along a cone of
-    directions, declared truthfully."""
+    """Models whose polyhedra either stay inside radius 10 or reach
+    infinity along a cone of directions, declared truthfully."""
     rng = np.random.default_rng(40 + n)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -222,59 +261,93 @@ def probe_models(n):
 
 
 class TestClassifyProbeOracle:
-    """The ray probe against the two-radius probe it replaced: the same
-    classifications, the same first conflict and the same draws from a
-    passed-in generator, wherever the two-radius probe is right."""
+    """:func:`classify_regions` and its exact reach test against a dense
+    probe: vertices by brute force plus 100,000 directions."""
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_matches_oracle(self, n):
         for name, model in probe_models(n).items():
-            n_poly = len(model.table.poly_ids)
             truth = [r.declared_unbounded for r in model.regions
                      if r.kind == "polyhedral"]
             # The truthful flags, then each flag flipped in turn.
             variants = [truth] + [
                 [f != (i == k) for i, f in enumerate(truth)]
-                for k in range(n_poly)]
-            for seed, flags in enumerate(variants):
+                for k in range(len(truth))]
+            for flags in variants:
                 m = with_flags(model, flags)
-                ours, theirs = (np.random.default_rng(seed),
-                                np.random.default_rng(seed))
-                got = classify_outcome(m, 10.0, ours)
-                want = classify_oracle(m, 10.0, theirs)
-                assert got == want, (name, flags)
-                assert ours.standard_normal(3).tolist() == \
-                    theirs.standard_normal(3).tolist()
-                if seed == 0:
+                want = classify_oracle(m, 10.0)
+                assert classify_outcome(m, 10.0) == want, (name, flags)
+                if flags is truth:
                     assert not isinstance(want, int), name
 
-    def test_radial_conflict_before_any_draw(self):
-        # The first conflict is a shell declared before every polyhedron:
-        # neither probe draws a direction.
-        model = SldsModel(
-            n=2, p=1,
-            regions=(Region(kind="radial", r_lo=0.0, r_hi=5.0,
-                            declared_unbounded=True),
-                     polyhedron([[1.0, 0.0]], [0.0], False)),
-            dynamics=((np.eye(2), np.zeros((2, 1))),) * 2)
-        ours, theirs, fresh = (np.random.default_rng(9) for _ in range(3))
-        assert classify_outcome(model, 10.0, ours) == 0
-        assert classify_oracle(model, 10.0, theirs) == 0
-        assert ours.random() == theirs.random() == fresh.random()
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_polyhedra_match_oracle(self, n):
+        # Mostly more rows than dimensions, so that polytopes are common.
+        # Rows are redrawn until every n of them are well conditioned: a
+        # nearly singular subset can leave a recession cone too thin for
+        # 100,000 directions (as on one draw at n = 3, cond 2,484).
+        rng = np.random.default_rng(100 + n)
+        dirs = unit_directions(n)
+        seen = set()
+        for _ in range(200):
+            m = int(rng.integers(1, 7) if rng.random() < 0.3
+                    else rng.integers(n + 1, 7))
+            L = rng.standard_normal((m, n))
+            while max((np.linalg.cond(L[list(rows)]) for rows in
+                       itertools.combinations(range(m), n)), default=0) > 100:
+                L = rng.standard_normal((m, n))
+            C = rng.normal(0.5, 1.0, m)
+            r = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+            want = reach_oracle(L, C, r, dirs)
+            assert _reaches(L, C, r, 0) == want, (L, C, r)
+            seen.add((want, reach_oracle(L, C, 0.0, dirs[:0])))
+        # Empty sets, polytopes inside the ball, and polyhedra beyond it.
+        assert seen >= {(True, True), (False, True), (False, False)}
 
-    def test_default_generator(self):
-        model = poly4()[0]
-        assert classify_outcome(model, 10.0, None) == \
-            classify_oracle(model, 10.0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_oracle_misses_the_exterior_box(self, n):
-        # Where the two radii straddle the box the oracle is wrong: it
-        # accepts the box as bounded, and the ray probe does not.
-        model = exterior_box(n, declared_unbounded=False)
-        assert classify_oracle(model, 10.0, np.random.default_rng(0)) == \
-            ((1,), (0,))
-        assert classify_outcome(model, 10.0, np.random.default_rng(0)) == 0
+class TestExactReach:
+    """:func:`_reaches` on polyhedra whose answer is known."""
+
+    EYE = np.eye(2)
+
+    @pytest.mark.parametrize("L, C, reaches", [
+        ([[1.0, 0.0]], [0.0], True),                    # half-plane
+        ([[1.0, 1.0]], [-50.0], True),                  # far half-plane
+        ([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0], True),  # strip: a line
+        ([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0], False),   # empty strip
+        ([[1.0], [-1.0]], [-1.0, -1.0], False),         # empty interval
+        # Empty, with the recession ray (0, 1).
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], [-1.0, -1.0, 0.0], False),
+        ([[0.0, 0.0]], [1.0], True),                    # 0 <= 1: all
+        ([[0.0, 0.0]], [-1.0], False),                  # 0 <= -1: none
+        ([[0.0, 0.0], [1.0, 0.0]], [0.0, 0.0], True),   # a zero row
+        # The farthest vertex at exactly r = 10, then just beyond it.
+        ([[1.0], [-1.0]], [10.0, 0.0], False),
+        ([[1.0], [-1.0]], [10.0 + 1e-6, 0.0], True),
+        # The triangle (0, 0), (6, 0), (6, 8), then with x <= 6.001.  The
+        # vertex (6, 8) comes out at norm 10.000000000000002, so with no
+        # margin the first would read as reaching.
+        ([[-4.0, 3.0], [1.0, 0.0], [0.0, -1.0]], [0.0, 6.0, 0.0], False),
+        ([[-4.0, 3.0], [1.0, 0.0], [0.0, -1.0]], [0.0, 6.001, 0.0], True),
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+         [12.0, -11.0, 0.01, 0.01], True),              # the thin box
+        ([[-1.0, 0.0], [-1e-4, 1.0], [-1e-4, -1.0]],
+         [0.0, 0.0, 0.0], True),                        # the thin cone
+    ])
+    def test_known_answers(self, L, C, reaches):
+        L, C = np.asarray(L, dtype=float), np.asarray(C, dtype=float)
+        assert _reaches(L, C, 10.0, 0) is reaches
+        # Row scaling leaves the set, and so the answer, unchanged.
+        scale = np.arange(1.0, len(C) + 1.0) * 1e3
+        assert _reaches(L * scale[:, None], C * scale, 10.0, 0) is reaches
+
+    def test_too_many_row_subsets(self):
+        n = 5
+        m = next(m for m in range(n, 100)
+                 if math.comb(m + 1, n) > _MAX_SUBSETS)
+        L = np.random.default_rng(0).standard_normal((m, n))
+        with pytest.raises(ConfigError, match="region 3: .* row subsets"):
+            _reaches(L, np.ones(m), 1.0, 3)
 
 
 class TestCertify:

@@ -123,11 +123,17 @@ class TestRegion:
         assert region_of(model, np.array([0.1, 0.0])) == 1
 
     def test_polyhedral_validation(self):
-        with pytest.raises(ValueError):
-            Region(kind="polyhedral", L=np.eye(2), C=np.zeros(2))
+        # declared_unbounded is optional, as for a radial shell.
+        assert polyhedron(np.eye(2), np.zeros(2)).declared_unbounded is None
         with pytest.raises(ValueError):
             Region(kind="polyhedral", L=np.eye(2), C=np.zeros(3),
                    declared_unbounded=True)
+        with pytest.raises(ValueError):
+            Region(kind="polyhedral", L=None, C=np.zeros(1))
+        for L, C in (([[np.nan, 0.0]], [0.0]), ([[np.inf, 0.0]], [0.0]),
+                     ([[1.0, 0.0]], [np.nan]), ([[1.0, 0.0]], [-np.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                polyhedron(L, C, True)
 
 
 class TestRegionOf:
@@ -314,23 +320,6 @@ class TestRegionTable:
         model = build_system(2).model
         want = assert_lookups_match_oracle(model, np.array([[np.nan, 0.0]]))
         assert want == [None]
-
-    def test_rays_reach_is_exact_along_each_ray(self):
-        model = unit_model(
-            polyhedron([[0.0, 1.0]], [-1.0], True),     # y <= -1
-            polyhedron([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0], True),
-            polyhedron([[1.0, 0.0], [-1.0, 0.0]], [12.0, -11.0], False),
-            polyhedron([[-1.0, 0.0]], [-20.0], True))   # x >= 20
-        e1 = np.array([[1.0, 0.0]])
-        reach = model.table.rays_reach
-        # Along e1 every face of the first two is parallel: y <= -1 holds
-        # no t, the strip |y| <= 1 every t.  The box is t in [11, 12].
-        assert reach(e1, 10.0).tolist() == [False, True, True, True]
-        assert reach(e1, 12.0).tolist() == [False, True, True, True]
-        assert reach(e1, 12.5).tolist() == [False, True, False, True]
-        assert reach(-e1, 1.0).tolist() == [False, True, False, False]
-        assert reach(np.vstack([e1, -e1]), 12.5).tolist() == [
-            False, True, False, True]
 
     def test_partition_checks(self):
         with pytest.raises(ValueError, match="columns"):

@@ -1037,6 +1037,9 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert "scipy.stats" not in loaded
         assert "scipy.special" not in loaded
+        # Polyhedral reach is decided in numpy, with no LP and no qhull.
+        for name in ("scipy.optimize", "scipy.linalg", "scipy.spatial"):
+            assert name not in loaded
 
     def test_no_module_imports_scipy_stats(self):
         # The README's dependency claim: no sldsim code loads scipy.stats,
