@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ergodicity import Certificate
-from .model import ClosedLoop, RewardSpec, SldsModel, lockstep
+from .model import (ClosedLoop, RewardSpec, SldsModel, _start_state,
+                    lockstep)
 from .regen import operational_minorization
 
 
@@ -246,14 +247,17 @@ def validate_bound(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     :func:`~sldsim.model.lockstep`.  The empirical failure rate is compared
     against ``delta + 2 * sqrt(delta * (1 - delta) / trials)``, two
     standard errors above the bound's guarantee, so a correct bound fails
-    this check with probability well under 5 percent.
+    this check with probability well under 5 percent.  Raises
+    ``ValueError`` on a non-finite ``rho_star``, and checks ``x0`` as
+    :func:`~sldsim.model.lockstep` does before anything uses it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not math.isfinite(rho_star):
+        raise ValueError(f"rho_star must be finite, got {rho_star!r}")
+    x0 = _start_state(model, x0)
     req = required_samples(cert, eps, delta, consts=consts,
-                           beta_op=beta_op,
-                           x0_norm_sq=0.0 if x0 is None
-                           else float(x0.dot(x0)))
+                           beta_op=beta_op, x0_norm_sq=float(x0.dot(x0)))
     n_used = req.n_operational
     rngs = [np.random.default_rng(
                 np.random.SeedSequence(master_seed, spawn_key=(7, trial)))

@@ -36,7 +36,6 @@ from .errors import ConfigError, SldsimError, report_error
 from .ergodicity import certify, classify_regions, drift_check, sample_in_ball
 from .model import closed_loop, simulate
 from .regen import (
-    Minorization,
     estimate_all,
     operational_minorization,
     simulate_regenerative,
@@ -170,10 +169,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise ConfigError("--op-radius applies to --beta-mode operational "
                           "only")
     cfg, cl, cert = _build_certified(args)
-    if args.beta_mode == "certified":
-        minor = Minorization.from_certificate(cert)
-    else:
-        minor = operational_minorization(cert, radius=args.op_radius)
+    minor = operational_minorization(
+        cert, cert.s_radius if args.beta_mode == "certified"
+        else args.op_radius)
     if minor.beta() == 0.0:
         raise ConfigError(f"the {args.beta_mode} minorization constant "
                           f"exp({minor.log_beta:.6g}) underflows to 0")

@@ -82,20 +82,17 @@ def _region_from_dict(d: dict, index: int) -> Region:
     if kind not in _REGION_KEYS:
         raise ConfigError(f"{where}: unknown kind {kind!r}")
     _known(d, _REGION_KEYS[kind], where)
-    flag = f"{where} declared_unbounded"
+    flag = _typed(d.get("declared_unbounded"), (bool, type(None)),
+                  f"{where} declared_unbounded", "true, false or null")
     if kind == "radial":
         r_hi = d.get("r_hi")
         return Region(kind="radial",
                       r_lo=_number(d.get("r_lo", 0.0), f"{where} r_lo"),
                       r_hi=(math.inf if r_hi is None
                             else _number(r_hi, f"{where} r_hi")),
-                      declared_unbounded=_typed(
-                          d.get("declared_unbounded"), (bool, type(None)),
-                          flag, "true, false or null"))
+                      declared_unbounded=flag)
     return Region(kind="polyhedral", L=_numbers(d["L"], f"{where} L"),
-                  C=_numbers(d["C"], f"{where} C"),
-                  declared_unbounded=_typed(d["declared_unbounded"], (bool,),
-                                            flag, "true or false"))
+                  C=_numbers(d["C"], f"{where} C"), declared_unbounded=flag)
 
 
 def _region_to_dict(region: Region) -> dict:

@@ -206,31 +206,33 @@ def certify(cl: ClosedLoop, classification: RegionClassification,
     s_radius = math.sqrt(2.0 * (n + c * rho_ball ** 2 + 1.0))
     lam = (1.0 + gamma) / 2.0
     k2 = 1.5 + 2.0 * c + c * c * rho_ball ** 2
-    log_beta = beta_lower_bound(cl, s_radius, n)
+    max_gain = max(cl.ahat_norms)
     return Certificate(
         n=n, rho_ball=rho_ball, gamma=gamma, c=c, k=k, r_hat=r_hat,
-        s_radius=s_radius, lam=lam, k2=k2, log_beta=log_beta,
-        max_gain=max(cl.ahat_norms),
+        s_radius=s_radius, lam=lam, k2=k2,
+        log_beta=beta_lower_bound(max_gain, s_radius, n), max_gain=max_gain,
     )
 
 
-def beta_lower_bound(cl: ClosedLoop, s_radius: float, n: int) -> float:
-    """Closed-form log lower bound on the minorization constant over ``S``.
+def beta_lower_bound(max_gain: float, radius: float, n: int) -> float:
+    """Log minorization constant of the uniform measure on the n-ball of
+    the given radius, for closed-loop gains at most ``max_gain``.
 
-    For ``x, y`` in the ball ``S`` of radius ``s_radius`` the Gaussian
-    transition density at ``y`` from any region is at least the standard
-    normal density at distance ``D = s_radius (1 + max_j ||Ahat_j||)``,
-    since ``||y - Ahat_j x|| <= D`` uniformly in ``j``. Hence
+    From ``x`` in the ball, the Gaussian transition density at any ``y`` in
+    it is at least the standard normal density at ``D = radius (1 +
+    max_gain)``.  Against the uniform measure that floor is multiplied by
+    the ball's volume, kept only when below 1 so the constant stays valid
+    for any radius:
 
-        log beta = -(n / 2) log(2 pi) - D^2 / 2.
+        log beta = -(n / 2) log(2 pi) - D^2 / 2 + min(0, log vol).
 
-    Computed fully in the log domain; beta itself underflows double
-    precision a few dimensions in.
+    Raises ``ValueError`` unless ``0 < radius < inf``.
     """
-    if s_radius < 0:
-        raise ValueError("s_radius must be nonnegative")
-    d_max = s_radius * (1.0 + max(cl.ahat_norms))
-    return -(n / 2.0) * math.log(2.0 * math.pi) - 0.5 * d_max * d_max
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    d = radius * (1.0 + max_gain)
+    return (-(n / 2.0) * math.log(2.0 * math.pi) - 0.5 * d * d
+            + min(0.0, log_ball_volume(n, radius)))
 
 
 def log_ball_volume(n: int, radius: float) -> float:

@@ -464,6 +464,20 @@ def _scalar_gains(cl: ClosedLoop) -> np.ndarray | None:
     return None
 
 
+def _start_state(model: SldsModel, x0: np.ndarray | None) -> np.ndarray:
+    """``x0`` as a float array, the origin when None; raises ``ValueError``
+    unless its shape is ``(n,)``, and :class:`DivergenceError` at step 0
+    unless its norm is ``<= DIVERGENCE_LIMIT``, as :func:`simulate` does."""
+    x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (model.n,):
+        raise ValueError(f"x0 must have shape ({model.n},)")
+    with np.errstate(all="ignore"):     # x0 . x0 may overflow
+        norm0 = math.sqrt(x0.dot(x0))
+    if not norm0 <= DIVERGENCE_LIMIT:   # NaN fails, as in _path
+        raise DivergenceError(step_index=0, norm=norm0)
+    return x0
+
+
 def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
              rngs: list[np.random.Generator], n_steps: int,
              x0: np.ndarray | None = None,
@@ -483,13 +497,7 @@ def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
         raise ValueError("eps_stop must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise ValueError(f"x0 must have shape ({model.n},)")
-    with np.errstate(all="ignore"):     # x0 . x0 may overflow
-        norm0 = math.sqrt(x0.dot(x0))
-    if not norm0 <= DIVERGENCE_LIMIT:   # NaN fails, as in _path
-        raise DivergenceError(step_index=0, norm=norm0)
+    x0 = _start_state(model, x0)
     gains = _scalar_gains(cl)
     groups = [_lockstep(cl, model, spec, rngs[lo:lo + _GROUP], n_steps, x0,
                         eps_stop, gains)

@@ -9,10 +9,10 @@ which powers unbiased ratio estimators and block-based error bars.  The
 split chain is run as the plain chain with each pair's regeneration bit
 drawn after the fact, which gives the same joint law.
 
-The certified minorization constant is far too small to ever fire in a
-feasible run, so simulation uses an operational pair: a smaller ball with
-a much larger (still valid) constant. Both pairs are plain
-:class:`Minorization` values; estimators do not care which produced a log.
+Every pair is :func:`operational_minorization` at some radius.  At the
+certificate's ``s_radius`` the constant is far too small to ever fire in
+a feasible run, so simulation uses by default a smaller ball with a much
+larger (still valid) constant.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MinorizationViolation, NoRegeneration
-from .ergodicity import Certificate, log_ball_volume, sample_in_ball
+from .ergodicity import (Certificate, beta_lower_bound, log_ball_volume,
+                         sample_in_ball)
 from .model import (
     ClosedLoop,
     RewardSpec,
@@ -60,11 +61,6 @@ class Minorization:
         """Log volume of the ball ``S``."""
         return log_ball_volume(self.n, self.s_radius)
 
-    @classmethod
-    def from_certificate(cls, cert: Certificate) -> "Minorization":
-        """The certified pair: ball ``S`` with the closed-form constant."""
-        return cls(n=cert.n, s_radius=cert.s_radius, log_beta=cert.log_beta)
-
     def beta(self) -> float:
         return math.exp(self.log_beta)
 
@@ -83,26 +79,18 @@ class Minorization:
 
 def operational_minorization(cert: Certificate,
                              radius: float | None = None) -> Minorization:
-    """A smaller ball with a usably large minorization constant.
-
-    The closed form bounds the transition density over the ball of radius
-    ``radius`` from below by the normal density at the worst displacement
-    ``D = radius (1 + max_gain)``. Turning a density floor into a constant
-    against the uniform measure multiplies by the ball volume; that factor
-    is kept only when it hurts (volume < 1), so the constant stays valid
-    for arbitrarily small balls and conservative for large ones.
-
-    The default radius is ``2 / (1 + max_gain)``, which makes ``D = 2``
-    and keeps the constant above ``exp(-3)`` in one dimension.
+    """The uniform ball of the given radius with the constant
+    :func:`~sldsim.ergodicity.beta_lower_bound` gives it at the
+    certificate's worst gain; at ``cert.s_radius`` this is the certified
+    pair.  The default radius ``2 / (1 + max_gain)`` makes the worst
+    displacement 2 and keeps the constant above ``exp(-3)`` in one
+    dimension.  Raises ``ValueError`` unless ``0 < radius < inf``.
     """
     if radius is None:
         radius = 2.0 / (1.0 + cert.max_gain)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    d = radius * (1.0 + cert.max_gain)
-    log_beta = (-(cert.n / 2.0) * LOG_2PI - 0.5 * d * d
-                + min(0.0, log_ball_volume(cert.n, radius)))
-    return Minorization(n=cert.n, s_radius=radius, log_beta=log_beta)
+    return Minorization(n=cert.n, s_radius=radius,
+                        log_beta=beta_lower_bound(cert.max_gain, radius,
+                                                  cert.n))
 
 
 def check_minorization_pointwise(cl: ClosedLoop, model: SldsModel,

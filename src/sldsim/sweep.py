@@ -43,6 +43,7 @@ from .model import (
     RewardSpec,
     SldsModel,
     _path,
+    _start_state,
     closed_loop,
     lockstep,
     radial_shell,
@@ -236,9 +237,7 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    x = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"x0 must have shape ({model.n},)")
+    x = _start_state(model, x0)
     table = model.table
     if (model.n == 1 and spec.p_hat_is_identity and not table.poly_ids
             and table.none not in table.owners[:-1]):

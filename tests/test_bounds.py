@@ -248,6 +248,22 @@ class TestValidateBound:
             validate_bound(sys.cl, sys.model, sys.spec, sys.cert,
                            eps=1.0, delta=0.2, trials=0, rho_star=0.0)
 
+    @pytest.mark.parametrize("rho_star", [math.nan, math.inf])
+    def test_rho_star_must_be_finite(self, rho_star):
+        # Every comparison with NaN is False: 0 failures would pass.
+        sys = build_system(1)
+        with pytest.raises(ValueError, match="rho_star"):
+            validate_bound(sys.cl, sys.model, sys.spec, sys.cert,
+                           eps=1.0, delta=0.2, trials=20, rho_star=rho_star)
+
+    def test_start_state_may_be_a_list(self):
+        sys = build_system(1)
+        kw = dict(eps=5.0, delta=0.2, trials=3, rho_star=12.0)
+        assert validate_bound(sys.cl, sys.model, sys.spec, sys.cert,
+                              x0=[1.0], **kw) == \
+            validate_bound(sys.cl, sys.model, sys.spec, sys.cert,
+                           x0=np.array([1.0]), **kw)
+
 
 def per_trial_validation(cl, model, spec, n_used, trials, x0,
                          master_seed=0):

@@ -15,8 +15,10 @@ from sldsim import (
     ConfigError,
     ModelConfig,
     Policy,
+    SldsModel,
     Trajectory,
     build_case_study,
+    classify_regions,
     load_model_config,
     model_config_from_dict,
     model_config_to_dict,
@@ -123,6 +125,20 @@ class TestModelConfigRoundTrip:
                             declared_unbounded=False)
         assert np.array_equal(helper.L, region.L)
 
+    def test_flagless_polyhedron_survives_save_and_load(self, tmp_path):
+        shells, policy, spec = build_case_study(1, 0.9, 2.0, 10.0)
+        model = SldsModel(n=1, p=1, regions=(polyhedron([[-1.0]], [0.0]),
+                                             polyhedron([[1.0]], [0.0])),
+                          dynamics=shells.dynamics)
+        cfg = ModelConfig(model=model, policy=policy, reward=spec,
+                          rho_ball=10.0)
+        save_model_config(cfg, tmp_path / "model.json")
+        again = load_model_config(tmp_path / "model.json")
+        for a, b in zip(cfg.model.regions, again.model.regions):
+            assert b.kind == "polyhedral" and b.declared_unbounded is None
+            assert np.array_equal(a.L, b.L) and np.array_equal(a.C, b.C)
+        assert model_config_to_dict(again) == model_config_to_dict(cfg)
+
     def test_normalize_flag(self):
         data = model_config_to_dict(ModelConfig(
             *build_case_study(1, 0.9, 2.0, 10.0), rho_ball=10.0))
@@ -188,10 +204,18 @@ class TestModelConfigRoundTrip:
                 model_config_from_dict(data)
 
         poly = {"kind": "polyhedral", "L": [[1.0]], "C": [5.0]}
-        for flag in (None, "true", 0):
+        for flag in ("true", 0):
             with pytest.raises(ConfigError, match="declared_unbounded"):
                 model_config_from_dict(dict(good, regions=[
                     dict(poly, declared_unbounded=flag)]))
+        # A polyhedron's flag may be null or absent, as a shell's may.
+        halves = [dict(poly, L=[[-1.0]], C=[0.0], declared_unbounded=None),
+                  dict(poly, C=[0.0])]
+        cfg = model_config_from_dict(dict(good, regions=halves))
+        assert [r.declared_unbounded for r in cfg.model.regions] == \
+            [None, None]
+        assert classify_regions(cfg.model, cfg.rho_ball).unbounded_set == \
+            (0, 1)
 
     def test_file_round_trip(self, tmp_path):
         path = make_config(tmp_path)
@@ -817,6 +841,19 @@ class TestCliOutputBytes:
             assert main(argv + common) == 0
         got = {name: sha256_of_file(tmp_path / name) for name in self.SHA256}
         assert got == self.SHA256
+
+    def test_certified_estimate_is_pinned(self, tmp_path):
+        assert main(["estimate", "--beta-mode", "certified",
+                     "--n-steps", "20000", "--seed", "3",
+                     "--config", str(POLY4_JSON), "--out", str(tmp_path)]) == 0
+        got = {name: sha256_of_file(tmp_path / name)
+               for name in ("estimate.json", "blocks.csv")}
+        assert got == {
+            "estimate.json": "5f810dd0ea0f6bb0f81d0c4fd12fb5af"
+                             "2224bc9b62b14ef951e280226d410b2a",
+            "blocks.csv": "e9df7407897eaddb412ebda086a0649c"
+                          "bd71244ee81e33aa43589740feb1f8f4",
+        }
 
 
 class TestCliParser:

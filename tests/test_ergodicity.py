@@ -405,18 +405,15 @@ class TestBetaLowerBound:
         s = sys.cert.s_radius
         d = s * (1.0 + 2.0)
         expected = -0.5 * math.log(2 * math.pi) - 0.5 * d * d
-        assert beta_lower_bound(sys.cl, s, 1) == pytest.approx(
+        assert beta_lower_bound(sys.cert.max_gain, s, 1) == pytest.approx(
             expected, rel=1e-15)
 
     def test_monotone_in_radius(self):
-        sys = build_system(2)
-        assert beta_lower_bound(sys.cl, 2.0, 2) > \
-            beta_lower_bound(sys.cl, 3.0, 2)
+        assert beta_lower_bound(2.0, 2.0, 2) > beta_lower_bound(2.0, 3.0, 2)
 
     def test_negative_radius_rejected(self):
-        sys = build_system(1)
         with pytest.raises(ValueError):
-            beta_lower_bound(sys.cl, -1.0, 1)
+            beta_lower_bound(2.0, -1.0, 1)
 
     def test_worst_displacement_attained_for_uniform_gain(self):
         # Single global gain: the displacement bound s (1 + ||Ahat||) is

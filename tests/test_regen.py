@@ -5,24 +5,30 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from sldsim import (
+    ClosedLoop,
     DivergenceError,
     Minorization,
     MinorizationViolation,
     NoRegeneration,
     Policy,
     RegenerationLog,
+    RegionClassification,
     RewardSpec,
     SldsModel,
+    certify,
     check_minorization_pointwise,
+    classify_regions,
     closed_loop,
     decompose_sum,
     estimate_all,
+    load_model_config,
     operational_minorization,
     radial_shell,
     rewards_of,
@@ -35,11 +41,13 @@ import sldsim.regen as regen
 from conftest import (build_system, contracting_system, stepwise_path,
                       zero_system)
 
+POLY4_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "poly4.json"
+
 
 class TestMinorization:
     def test_from_certificate(self):
         sys = build_system(1)
-        minor = Minorization.from_certificate(sys.cert)
+        minor = operational_minorization(sys.cert, sys.cert.s_radius)
         assert minor.s_radius == sys.cert.s_radius
         assert minor.log_beta == sys.cert.log_beta
 
@@ -81,6 +89,37 @@ class TestOperationalMinorization:
         with pytest.raises(ValueError):
             operational_minorization(sys.cert, radius=0.0)
 
+    @pytest.mark.parametrize("radius", [0.0, math.nan, math.inf])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        sys = build_system(1)
+        with pytest.raises(ValueError, match="radius"):
+            operational_minorization(sys.cert, radius)
+
+    def test_certified_pair_is_the_pair_at_s_radius(self):
+        # The certificate's constant is the pair's at s_radius bit for bit,
+        # and the ball there has volume above 1, so it is the closed form
+        # without a volume factor.  On the case study (outer shell 0,
+        # inner shell 1) certify reads only the closed loop's dimension
+        # and gains.
+        shells = RegionClassification(unbounded_set=(0,), bounded_set=(1,))
+        certs = [certify(ClosedLoop(ahat=(np.zeros((n, 1)),) * 2,
+                                    ahat_norms=(gain, c_root)),
+                         shells, 10.0, n)
+                 for n in [*range(1, 60), 100, 200, 500, 1000, 2000]
+                 for gain in (0.1, 0.5, 0.9, 0.99)
+                 for c_root in (0.0, 0.5, 2.0)]
+        cfg = load_model_config(POLY4_JSON)
+        certs.append(certify(closed_loop(cfg.model, cfg.policy),
+                             classify_regions(cfg.model, cfg.rho_ball),
+                             cfg.rho_ball, cfg.model.n))
+        for cert in certs:
+            pair = operational_minorization(cert, cert.s_radius)
+            assert (pair.n, pair.s_radius, pair.log_beta) == \
+                (cert.n, cert.s_radius, cert.log_beta)
+            d = cert.s_radius * (1.0 + cert.max_gain)
+            assert cert.log_beta == \
+                -(cert.n / 2.0) * math.log(2.0 * math.pi) - 0.5 * d * d
+
     def test_volume_discount_only_when_small(self):
         sys = build_system(2)
         big = operational_minorization(sys.cert, radius=10.0)
@@ -121,7 +160,7 @@ class TestPointwiseCheck:
         # The certificate's own pair, at any dimension: the closed-form
         # constant holds at every sampled pair of S, and beta = 1 breaks.
         sys = build_system(n)
-        certified = Minorization.from_certificate(sys.cert)
+        certified = operational_minorization(sys.cert, sys.cert.s_radius)
         margin = check_minorization_pointwise(
             sys.cl, sys.model, certified, np.random.default_rng(n))
         assert margin >= 0.0
@@ -136,7 +175,7 @@ class TestSampleNuHat:
         # The certified pair and the operational pair.
         sys = build_system(1)
         rng = np.random.default_rng(2)
-        x = Minorization.from_certificate(sys.cert).sample(rng)
+        x = operational_minorization(sys.cert, sys.cert.s_radius).sample(rng)
         assert abs(x[0]) <= sys.cert.s_radius
         op = operational_minorization(sys.cert)
         y = op.sample(rng)

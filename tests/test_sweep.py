@@ -29,6 +29,8 @@ from sldsim import (
     SldsModel,
     SweepConfig,
     build_case_study,
+    certify,
+    classify_regions,
     closed_loop,
     polyhedron,
     pseudo_sample_complexity,
@@ -42,6 +44,7 @@ from sldsim import (
     sweep_dimension,
     sweep_gamma,
     trial_seed_sequence,
+    validate_bound,
 )
 import sldsim.model as model_mod
 import sldsim.sweep as sweep_mod
@@ -620,6 +623,12 @@ def one_shell(n, gain):
     return model, closed_loop(model, policy), spec
 
 
+def shell_certificate(n):
+    """The certificate of :func:`one_shell` at gain 0.5, radius 1."""
+    model, cl, _ = one_shell(n, 0.5)
+    return certify(cl, classify_regions(model, 1.0), 1.0, n)
+
+
 class TestDivergenceReport:
     """Every entry point that steps one chain reports a divergence as the
     per-step oracle does: the first state above the guard, at its
@@ -646,6 +655,10 @@ class TestDivergenceReport:
             "simulate_regenerative": lambda rng: simulate_regenerative(
                 cl, model, Minorization(n=n, s_radius=1.0, log_beta=-10.0),
                 steps, rng, x0=x0),
+            # With a contracting shell's certificate; one trial.
+            "validate_bound": lambda rng: validate_bound(
+                cl, model, spec, shell_certificate(n), 0.5, 0.2, 1, 0.0,
+                x0=x0),
         }[entry]
         with pytest.raises(DivergenceError) as info:
             run(np.random.default_rng(0))
@@ -666,7 +679,8 @@ class TestDivergenceReport:
     @pytest.mark.parametrize("start", [math.nan, 1e200], ids=["nan", "1e200"])
     @pytest.mark.parametrize("entry", ["reference", "lockstep",
                                        "pseudo_sample_complexity",
-                                       "simulate_regenerative"])
+                                       "simulate_regenerative",
+                                       "validate_bound"])
     def test_bad_start_state(self, entry, start, n):
         # A start state past the guard is a divergence at step 0 whatever
         # the entry point; x0 . x0 overflows at 1e200 without a warning.
