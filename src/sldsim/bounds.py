@@ -96,7 +96,8 @@ def required_samples(cert: Certificate, eps: float, delta: float,
     :func:`~sldsim.regen.operational_minorization`.  The operational
     arithmetic stays in the linear domain so that exact power-of-two
     rescalings of ``eps**2``, ``delta``, or ``beta_op`` rescale
-    ``raw_operational`` exactly.
+    ``raw_operational`` exactly.  Raises ``ValueError`` when that count
+    is not a finite double (``eps * eps`` may underflow to 0).
     """
     if consts is None:
         consts = BoundConstants()
@@ -114,7 +115,11 @@ def required_samples(cert: Certificate, eps: float, delta: float,
                              + gamma * x0_norm_sq)
     eps_sq = eps * eps
 
-    raw_op = numerator / (((1.0 - gamma) * delta) * beta_op * eps_sq)
+    denominator = ((1.0 - gamma) * delta) * beta_op * eps_sq
+    raw_op = numerator / denominator if denominator else math.inf
+    if not math.isfinite(raw_op):
+        raise ValueError(f"the operational sample count {raw_op!r} is not "
+                         f"a finite double")
     n_op = math.ceil(raw_op)
 
     log_common = (math.log(numerator) - math.log1p(-gamma)
@@ -157,15 +162,31 @@ class BoundReport:
     total_operational: float
 
 
+def _power(x: float, k: int) -> float:
+    """``x**k``, or ``inf`` where it overflows a double."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
 def bound_terms(cert: Certificate, n_steps: int,
                 x0_norm_sq: float = 0.0,
                 consts: BoundConstants | None = None,
                 beta_op: float | None = None) -> BoundReport:
-    """Evaluate every displayed term of the tail bound at ``n_steps``."""
+    """Evaluate every displayed term of the tail bound at ``n_steps``.
+
+    A term whose power of ``n_steps`` overflows a double reads 0.0; an
+    ``n_steps`` past the largest double raises ``ValueError``.
+    """
     if consts is None:
         consts = BoundConstants()
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
+    try:
+        big_n = float(n_steps)
+    except OverflowError:
+        raise ValueError("n_steps exceeds the largest double") from None
     if x0_norm_sq < 0:
         raise ValueError("x0_norm_sq must be nonnegative")
     beta_op = _operational_beta(cert, beta_op)
@@ -175,7 +196,7 @@ def bound_terms(cert: Certificate, n_steps: int,
     c = cert.c
     rho_sq = cert.rho_ball * cert.rho_ball
     one_m = 1.0 - gamma
-    big_n = float(n_steps)
+    big_n_sq, big_n_cube = _power(big_n, 2), _power(big_n, 3)
 
     pi_vhat = 1.5 + c * rho_sq / (2.0 * n)
     rbar_sq = 2.0 * n / one_m
@@ -184,17 +205,17 @@ def bound_terms(cert: Certificate, n_steps: int,
     term_cross = (4.0 * (consts.c_10as / big_n)
                   * (6.0 * n + 2.0 * c * rho_sq + gamma * x0_norm_sq)
                   / one_m)
-    term_c1_sq = (4.0 * (consts.c_1_sq / big_n**2)
+    term_c1_sq = (4.0 * (consts.c_1_sq / big_n_sq)
                   * (3.0 * n + c * rho_sq + gamma * one_m * x0_norm_sq)
                   / one_m)
     term_sigma2_c0 = (consts.c_2as0
                       * (4.5 * n + c**2 * rho_sq**2 + 3.0 * c * rho_sq)
-                      / (big_n**2 * one_m))
+                      / (big_n_sq * one_m))
     term_sigma2_c0_sq = (consts.c_2as20
                          * (6.75 * n + 0.75 * c**2 * rho_sq
                             + 6.75 * c * rho_sq + 0.25 * c**3 * rho_sq**2
                             + 1.5 * c**2 * rho_sq**2)
-                         / (one_m * big_n**3))
+                         / (one_m * big_n_cube))
 
     lead_num = (4.0 * (1.0 + math.sqrt(gamma) * math.sqrt(one_m)
                        * math.sqrt(2.0 + c * rho_sq))

@@ -9,7 +9,8 @@ output directory defaults to ``$SLDSIM_OUT`` when set, else
 manifest through :mod:`sldsim.sweep`, as ``run_pipeline`` does.
 
 Exit codes: 0 success, 1 runtime failure inside a computation, 2 bad
-configuration or arguments, 3 certification failure, 4 file I/O failure.
+configuration or arguments (a step count whose arrays cannot be
+allocated among them), 3 certification failure, 4 file I/O failure.
 """
 
 from __future__ import annotations
@@ -233,11 +234,14 @@ def _load_constants(path: str | None) -> BoundConstants:
 def _cmd_bound(args: argparse.Namespace) -> int:
     cfg, cl, cert = _build_certified(args)
     consts = _load_constants(args.constants)
-    req = required_samples(cert, args.eps, args.delta,
-                           x0_norm_sq=args.x0_norm_sq, consts=consts)
-    n_steps = args.n_steps if args.n_steps else req.n_operational
-    report = bound_terms(cert, n_steps, x0_norm_sq=args.x0_norm_sq,
-                         consts=consts)
+    try:
+        req = required_samples(cert, args.eps, args.delta,
+                               x0_norm_sq=args.x0_norm_sq, consts=consts)
+        n_steps = args.n_steps if args.n_steps else req.n_operational
+        report = bound_terms(cert, n_steps, x0_norm_sq=args.x0_norm_sq,
+                             consts=consts)
+    except ValueError as exc:   # flag values past the double range
+        raise ConfigError(str(exc)) from exc
 
     print(f"required samples (operational beta) {req.n_operational}")
     certified = (f"exp({req.raw_certified_log:.6g})"
@@ -411,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SldsimError, OSError) as exc:
+    except (SldsimError, OSError, MemoryError) as exc:
         return report_error(exc)
 
 

@@ -79,15 +79,17 @@ class ConfigError(SldsimError):
 
 
 # (failures, exit code, message prefix); the first match wins.  A region
-# split that contradicts its declarations is a misdeclared model config.
+# split that contradicts its declarations is a misdeclared model config,
+# and an array too large to allocate comes from a requested size.
 _EXIT_CODES = (((ConfigError, ClassificationConflict, UncoveredExterior), 2,
                 ""),
+               (MemoryError, 2, "out of memory: "),
                (NotCertifiable, 3, "certification failed: "),
                (OSError, 4, "cannot read or write files: "),
                (SldsimError, 1, ""))
 
 
-def report_error(exc: SldsimError | OSError) -> int:
+def report_error(exc: SldsimError | OSError | MemoryError) -> int:
     """Print ``exc`` as one line on stderr; return its exit code."""
     code, prefix = next((code, prefix) for kind, code, prefix in _EXIT_CODES
                         if isinstance(exc, kind))

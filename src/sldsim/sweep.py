@@ -229,57 +229,45 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
                              x0: np.ndarray | None = None) -> float:
     """Mean reward over the ``n_steps`` states ``x_0 .. x_{n_steps-1}``.
 
-    Streams the chain in chunks whose sums are combined exactly, so 1e8
-    steps lose no precision: a scalar loop on the shell pieces of a
-    one-dimensional shell model with norm reward, else :func:`_path`.
-    Either way a divergence is raised as :func:`simulate` raises it, at
-    its absolute step.
+    Streams the chain in chunks of ``_NOISE_CHUNK`` states whose sums are
+    combined exactly, so 1e8 steps lose no precision.  On a
+    one-dimensional shell model with norm reward a chunk is first
+    stepped as Python floats, gain ``Ahat_j`` on the table's piece owned
+    by region ``j``, checking no state; a chunk whose sum is not
+    ``<= DIVERGENCE_LIMIT``, and every chunk of any other model, is
+    stepped by :func:`_path` from the chunk's start and generator state,
+    which raises a divergence as :func:`simulate` raises it, at its
+    absolute step.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     x = _start_state(model, x0)
     table = model.table
+    gains = None
     if (model.n == 1 and spec.p_hat_is_identity and not table.poly_ids
             and table.none not in table.owners[:-1]):
-        return _scalar_reference(cl, model, float(x[0]), n_steps,
-                                 rng) / n_steps
-    partials = []
-    for lo in range(0, n_steps, _NOISE_CHUNK):
-        # Later chunks restart from the last state, not counted again.
-        start = lo - (lo > 0)
-        states = _path(cl, model, x, min(lo + _NOISE_CHUNK, n_steps) - start,
-                       rng, t0=start)
-        x = states[-1]
-        partials.append(math.fsum(rewards_of(states[lo > 0:], spec)))
-    return math.fsum(partials) / n_steps
-
-
-def _scalar_reference(cl: ClosedLoop, model: SldsModel, x: float,
-                      n_steps: int, rng: np.random.Generator) -> float:
-    """Sum of |x_t| of a 1-D shell chain from ``x``, gain ``Ahat_j`` on the
-    table's piece owned by region ``j``.
-
-    A chunk whose sum is not ``<= DIVERGENCE_LIMIT`` is stepped again by
-    :func:`_path` from its start state and generator state, which raises
-    the divergence :func:`simulate` raises, or returns if only the sum
-    was large."""
-    table = model.table
-    gains = [float(cl.ahat[j][0, 0]) for j in table.owners[:-1]]
-    breaks = table.breaks
+        gains = [float(cl.ahat[j][0, 0]) for j in table.owners[:-1]]
+        breaks = table.breaks
     partials = []
     for lo in range(0, n_steps, _NOISE_CHUNK):
         hi = min(lo + _NOISE_CHUNK, n_steps)
-        start, state = x, rng.bit_generator.state
-        total = 0.0 if lo else abs(x)
-        for w in rng.standard_normal(hi - max(lo, 1)).tolist():
-            x = gains[bisect_left(breaks, abs(x))] * x + w
-            total += abs(x)
-        if not total <= DIVERGENCE_LIMIT:
+        if gains is not None:
+            state, y = rng.bit_generator.state, float(x[0])
+            total = 0.0 if lo else abs(y)
+            for w in rng.standard_normal(hi - max(lo, 1)).tolist():
+                y = gains[bisect_left(breaks, abs(y))] * y + w
+                total += abs(y)
+            if total <= DIVERGENCE_LIMIT:
+                x = np.array([y])
+                partials.append(total)
+                continue
             rng.bit_generator.state = state
-            t0 = lo - (lo > 0)
-            _path(cl, model, np.array([start]), hi - t0, rng, t0=t0)
-        partials.append(total)
-    return math.fsum(partials)
+        # Later chunks restart from the last state, not counted again.
+        t0 = lo - (lo > 0)
+        states = _path(cl, model, x, hi - t0, rng, t0=t0)
+        x = states[-1]
+        partials.append(math.fsum(rewards_of(states[lo > 0:], spec)))
+    return math.fsum(partials) / n_steps
 
 
 @dataclass(frozen=True)
@@ -505,13 +493,14 @@ def run_pipeline(config_path: str | Path, out_dir: str | Path) -> int:
     write CSVs plus a manifest into ``out_dir`` (:func:`write_sweeps`).
 
     Returns a process exit code, as the CLI does: 0 on success, 1 on a
-    failure inside a computation, 2 on a missing or malformed config, 3
-    when certification fails, 4 on an I/O failure.
+    failure inside a computation, 2 on a missing or malformed config or
+    arrays too large to allocate, 3 when certification fails, 4 on an
+    I/O failure.
     """
     try:
         fields, kinds = read_sweep_file(config_path)
         write_sweeps(sweep_config_from_dict(fields), kinds, out_dir,
                      config_path)
-    except (SldsimError, OSError) as exc:
+    except (SldsimError, OSError, MemoryError) as exc:
         return report_error(exc)
     return 0

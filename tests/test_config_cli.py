@@ -682,6 +682,42 @@ class TestCliBound:
         assert "leading_c" in err and err.count("\n") == 1
 
 
+class TestCliBoundary:
+    """Flag values the parser accepts at the edge of the double range or
+    of memory give their documented exit code, one error line and no
+    traceback (``main`` returns instead of raising)."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bound", "--x0-norm-sq", "1e300"], 0),
+        (["bound", "--eps", "1e-100"], 0),
+        (["bound", "--n-steps", str(10**110)], 0),
+        (["bound", "--x0-norm-sq", "1e308"], 2),
+        (["bound", "--eps", "1e-200"], 2),
+        (["bound", "--n-steps", str(10**400)], 2),
+        # Arrays past the 47-bit address space: refused, never allocated.
+        (["simulate", "--n-steps", str(10**14)], 2),
+        (["estimate", "--n-steps", str(10**14)], 2),
+        (["estimate", "--op-radius", "1e308"], 2),
+        (["simulate", "--x0", "1e308"], 1),
+    ], ids=["bound-x0-1e300", "bound-eps-1e-100", "bound-n-1e110",
+            "bound-x0-1e308", "bound-eps-1e-200", "bound-n-1e400",
+            "simulate-n-1e14", "estimate-n-1e14", "estimate-radius-1e308",
+            "simulate-x0-1e308"])
+    def test_extreme_flag_values(self, argv, code, tmp_path, capsys):
+        # The README model: the n = 1 case study, gains 0.9 and 0.5.
+        cfg = make_config(tmp_path, c_root=0.5)
+        out = tmp_path / "o"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert not out.exists()
+        else:
+            _, row = (out / "bound.csv").read_text().splitlines()
+            assert all(math.isfinite(float(v)) for v in row.split(","))
+
+
 class TestCliSweeps:
     PIPE = {"sweep": {"dims": [1], "gammas": [0.5, 0.9],
                       "gamma_dims": [1], "trials": 2,
@@ -888,6 +924,7 @@ class TestCliParser:
         (DivergenceError(step_index=3, norm=math.inf), 1),
         (ClassificationConflict(0, "declared bounded"), 2),
         (UncoveredExterior("no region meets the exterior"), 2),
+        (MemoryError("Unable to allocate 728. TiB"), 2),
     ])
     def test_one_error_mapping(self, exc, code, capsys):
         assert report_error(exc) == code

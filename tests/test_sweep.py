@@ -710,6 +710,33 @@ class TestDivergenceReport:
                                     rel=1e-15)
         assert rng.random() == sim_rng.random()
 
+    def test_scalar_reference_falls_through_past_the_first_chunk(
+            self, monkeypatch):
+        # Gain 1.03 up to 1e149 and 0.5 beyond: the chain settles near
+        # 1e149 with no state above the guard, so every chunk from
+        # t0 = 8191 sums past 1e150 and is stepped by _path.
+        model = SldsModel(n=1, p=1, regions=(radial_shell(0.0, 1e149),
+                                             radial_shell(1e149)),
+                          dynamics=((1.03 * np.eye(1), np.zeros((1, 1))),
+                                    (0.5 * np.eye(1), np.zeros((1, 1)))))
+        policy = Policy(pi=np.zeros((1, 1)))
+        spec = RewardSpec.bind(Q=np.eye(1), R=np.eye(1), policy=policy)
+        cl = closed_loop(model, policy)
+        calls = []
+
+        def path(*args, **kwargs):
+            calls.append(kwargs["t0"])
+            return model_mod._path(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "_path", path)
+        rng, sim_rng = np.random.default_rng(0), np.random.default_rng(0)
+        got = reference_reward_average(cl, model, spec, 20_000, rng)
+        traj = simulate(cl, model, spec, np.zeros(1), 20_000, sim_rng)
+        assert calls == [8191, 12287, 16383]
+        assert got == pytest.approx(math.fsum(traj.rewards) / 20_000,
+                                    rel=1e-15)
+        assert rng.random() == sim_rng.random()
+
 
 class TestSeeding:
     def test_seed_derives_from_grid_values(self):
