@@ -28,6 +28,9 @@ from .model import (ClosedLoop, RewardSpec, SldsModel, _start_state,
                     lockstep)
 from .regen import operational_minorization
 
+# Stream tag of :func:`validate_bound`'s trials.
+_VALIDATE_TAG = 7
+
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -269,8 +272,9 @@ def validate_bound(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     against ``delta + 2 * sqrt(delta * (1 - delta) / trials)``, two
     standard errors above the bound's guarantee, so a correct bound fails
     this check with probability well under 5 percent.  Raises
-    ``ValueError`` on a non-finite ``rho_star``, and checks ``x0`` as
-    :func:`~sldsim.model.lockstep` does before anything uses it.
+    ``ValueError`` on a non-finite ``rho_star``, and checks ``x0`` and
+    ``n_used`` as :func:`~sldsim.model.lockstep` does before any step: an
+    ``n_used`` past 2**53, which no run can finish, raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -280,8 +284,8 @@ def validate_bound(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     req = required_samples(cert, eps, delta, consts=consts,
                            beta_op=beta_op, x0_norm_sq=float(x0.dot(x0)))
     n_used = req.n_operational
-    rngs = [np.random.default_rng(
-                np.random.SeedSequence(master_seed, spawn_key=(7, trial)))
+    rngs = [np.random.default_rng(np.random.SeedSequence(
+                master_seed, spawn_key=(_VALIDATE_TAG, trial)))
             for trial in range(trials)]
     _, totals = lockstep(cl, model, spec, rngs, n_used, x0)
     failures = int(np.sum(np.abs(totals / n_used - rho_star) > eps))

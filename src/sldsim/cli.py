@@ -10,7 +10,8 @@ manifest through :mod:`sldsim.sweep`, as ``run_pipeline`` does.
 
 Exit codes: 0 success, 1 runtime failure inside a computation, 2 bad
 configuration or arguments (a step count whose arrays cannot be
-allocated among them), 3 certification failure, 4 file I/O failure.
+allocated or sized among them), 3 certification failure, 4 file I/O
+failure.
 """
 
 from __future__ import annotations

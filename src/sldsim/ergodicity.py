@@ -184,6 +184,9 @@ def certify(cl: ClosedLoop, classification: RegionClassification,
     ------
     NotCertifiable
         Some region reaching outside the ball has spectral norm >= 1.
+    ConfigError
+        ``rho_ball`` is so large that ``k``, ``s_radius`` or ``k2`` is
+        not a finite double.
     ValueError
         ``n`` is not the closed loop's dimension.
     """
@@ -200,12 +203,18 @@ def certify(cl: ClosedLoop, classification: RegionClassification,
     if gamma >= 1.0:
         raise NotCertifiable(gamma=gamma, region_index=worst)
     c = max((sq[j] for j in classification.bounded_set), default=0.0)
-    k = n + c * rho_ball ** 2
+    try:
+        k = n + c * rho_ball ** 2
+        s_radius = math.sqrt(2.0 * (k + 1.0))
+        k2 = 1.5 + 2.0 * c + c * c * rho_ball ** 2
+    except OverflowError:       # rho_ball ** 2 past the double range
+        k = s_radius = k2 = math.inf
+    if not all(map(math.isfinite, (k, s_radius, k2))):
+        raise ConfigError(f"rho = {rho_ball!r} is too large: K = n + c rho^2, "
+                          f"the small-set radius or K2 is not a finite double")
     gamma_eff = max(gamma, GAMMA_FLOOR)  # the r_hat formula divides by gamma
     r_hat = 2.0 * k / (gamma_eff * (1.0 - gamma_eff))
-    s_radius = math.sqrt(2.0 * (n + c * rho_ball ** 2 + 1.0))
     lam = (1.0 + gamma) / 2.0
-    k2 = 1.5 + 2.0 * c + c * c * rho_ball ** 2
     max_gain = max(cl.ahat_norms)
     return Certificate(
         n=n, rho_ball=rho_ball, gamma=gamma, c=c, k=k, r_hat=r_hat,

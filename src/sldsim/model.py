@@ -25,6 +25,10 @@ from .errors import DivergenceError, NoRegion
 
 DIVERGENCE_LIMIT = 1e150
 
+# The largest step count that is an exact double: past it ``S_N / N`` and
+# the stopping rule's ``N + 1`` are inexact, and a run takes decades.
+MAX_STEPS = 2**53
+
 # Chains advanced together by :func:`lockstep`; bounds its noise buffer
 # (``_GROUP * _NOISE_BLOCK * n`` doubles) at any chain count.
 _GROUP = 128
@@ -384,6 +388,9 @@ def simulate(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
         step index); certificate-violating models can overflow doubles.
     NoRegion
         If a state before the first divergence lies in no region.
+    MemoryError
+        If the ``(n_steps, n)`` state array cannot be allocated, or is
+        too large for numpy to size; nothing is drawn then.
     """
     states = _path(cl, model, x0, n_steps, rng, zero_noise)
     return Trajectory(states=states, rewards=rewards_of(states, spec))
@@ -409,7 +416,11 @@ def _path(cl: ClosedLoop, model: SldsModel, x0: np.ndarray, n_steps: int,
     x = np.asarray(x0, dtype=float)
     if x.shape != (model.n,):
         raise ValueError(f"x0 must have shape ({model.n},), got {x.shape}")
-    states = np.empty((n_steps, model.n), dtype=float)
+    try:
+        states = np.empty((n_steps, model.n), dtype=float)
+    except ValueError as exc:   # a size numpy cannot represent
+        raise MemoryError(f"cannot size {n_steps} states of dimension "
+                          f"{model.n}: {exc}") from exc
     states[0] = x
     if zero_noise:
         states[1:] = -0.0
@@ -489,14 +500,15 @@ def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     ``x_1 .. x_N``.  With ``eps_stop`` a chain stops at the first ``N >=
     1`` with ``|S_N / N - r(x_{N+1})| / (N + 1) < eps_stop``, else it runs
     all ``n_steps``.  Chain ``i`` follows the states :func:`simulate`
-    gives on ``rngs[i]``, bit for bit.  Raises :class:`NoRegion`, and
-    :class:`DivergenceError` on a norm that is not ``<= DIVERGENCE_LIMIT``,
-    ``x0``'s at step 0 as in :func:`simulate`.
+    gives on ``rngs[i]``, bit for bit.  Raises ``ValueError`` unless
+    ``1 <= n_steps <= MAX_STEPS`` (2**53), before any draw;
+    :class:`NoRegion`; and :class:`DivergenceError` on a norm that is not
+    ``<= DIVERGENCE_LIMIT``, ``x0``'s at step 0 as in :func:`simulate`.
     """
     if eps_stop is not None and not eps_stop > 0:
         raise ValueError("eps_stop must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    if not 1 <= n_steps <= MAX_STEPS:
+        raise ValueError("n_steps must lie in [1, 2**53]")
     x0 = _start_state(model, x0)
     gains = _scalar_gains(cl)
     groups = [_lockstep(cl, model, spec, rngs[lo:lo + _GROUP], n_steps, x0,

@@ -40,8 +40,13 @@ from .model import (
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# States :func:`simulate_regenerative` adds per chunk past the horizon.
+# States :func:`simulate_regenerative` adds per chunk past the horizon,
+# and at most in all.
 _EXTENSION_CHUNK = 1024
+_MAX_EXTENSION = 1_000_000
+
+# Sampled pairs of :func:`check_minorization_pointwise`.
+_N_GRID = 256
 
 # Block resamples behind :func:`estimate_all`'s standard error.
 _N_BOOTSTRAP = 200
@@ -95,9 +100,9 @@ def operational_minorization(cert: Certificate,
 
 def check_minorization_pointwise(cl: ClosedLoop, model: SldsModel,
                                  minor: Minorization,
-                                 rng: np.random.Generator,
-                                 n_grid: int = 256) -> float:
-    """Validate ``beta * q(y) <= p_x(y)`` on sampled (x, y) grid pairs.
+                                 rng: np.random.Generator) -> float:
+    """Validate ``beta * q(y) <= p_x(y)`` on ``_N_GRID`` sampled (x, y)
+    pairs of ``S``.
 
     Returns the smallest log margin ``log p_x(y) - log beta - log q(y)``
     over the grid; raises if any sampled pair violates the inequality
@@ -105,7 +110,7 @@ def check_minorization_pointwise(cl: ClosedLoop, model: SldsModel,
     exceed 1).
     """
     pairs = np.array([(minor.sample(rng), minor.sample(rng))
-                      for _ in range(n_grid)])
+                      for _ in range(_N_GRID)])
     return -float(_log_ratios(cl, model, minor, minor.log_beta,
                               pairs[:, 0], pairs[:, 1]).max())
 
@@ -216,12 +221,11 @@ class RegenerationLog:
 def simulate_regenerative(cl: ClosedLoop, model: SldsModel,
                           minor: Minorization, horizon: int,
                           rng: np.random.Generator,
-                          x0: np.ndarray | None = None,
-                          max_extension: int = 1_000_000) -> RegenerationLog:
+                          x0: np.ndarray | None = None) -> RegenerationLog:
     """Run the split chain of ``minor`` to the first regeneration past
     ``horizon``, from ``x0`` or, when it is None, from a draw of the
     regeneration measure (which makes every block identically
-    distributed).  If no regeneration occurs within ``max_extension``
+    distributed).  If no regeneration occurs within ``_MAX_EXTENSION``
     steps past the horizon the log is returned open; estimators then fall
     back to plain averages.  A chain with no regeneration among its first
     ``horizon`` pairs (as one that never reached ``S`` there) returns its
@@ -245,7 +249,7 @@ def simulate_regenerative(cl: ClosedLoop, model: SldsModel,
     # t counts the pairs with a bit.  The extension closes the block the
     # last regeneration by the horizon opened; with none there is no block.
     t = horizon
-    cap = horizon + max_extension if bits[0].any() else t
+    cap = horizon + _MAX_EXTENSION if bits[0].any() else t
     # Bits past the first chunk have t >= horizon: any 1 closes the log.
     while t < cap and (t == horizon or not bits[-1].any()):
         path = _path(cl, model, path[-1], min(_EXTENSION_CHUNK, cap - t) + 1,
@@ -294,12 +298,12 @@ def _block_sums(log: RegenerationLog, values: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values[: log.taus[-1]], starts)
 
 
-def decompose_sum(log: RegenerationLog, spec: RewardSpec, rho_hat: float,
-                  horizon: int | None = None) -> SumDecomposition:
+def decompose_sum(log: RegenerationLog, spec: RewardSpec,
+                  rho_hat: float) -> SumDecomposition:
     """Split the centered-reward sum at the regeneration boundaries.
 
     For the first regeneration time ``tau`` and the first one past the
-    horizon ``tau_R``:
+    log's horizon ``N``, ``tau_R`` (``log.taus[-1]`` of a closed log):
 
         head = sum_{i < tau} rbar(x_i)
         core = sum_{tau <= i < tau_R} rbar(x_i)
@@ -310,17 +314,11 @@ def decompose_sum(log: RegenerationLog, spec: RewardSpec, rho_hat: float,
     Raises
     ------
     NoRegeneration
-        The log has no regeneration, or none after the requested horizon.
+        The log is open: it has no regeneration past its horizon.
     """
-    n = log.horizon if horizon is None else horizon
-    if n < 1 or n > log.horizon:
-        raise ValueError(f"horizon must lie in [1, {log.horizon}]")
-    if not log.taus:
-        raise NoRegeneration("the log contains no regeneration")
-    tau1 = log.taus[0]
-    tau_r = next((t for t in log.taus if t > n), None)
-    if tau_r is None:
-        raise NoRegeneration(f"no regeneration after horizon {n}")
+    if log.overshoot is None:
+        raise NoRegeneration(f"no regeneration after horizon {log.horizon}")
+    n, tau1, tau_r = log.horizon, log.taus[0], log.taus[-1]
     rbar = rewards_of(log.states[:tau_r], spec) - rho_hat
     head = float(np.sum(rbar[:tau1]))
     core = float(np.sum(rbar[tau1:tau_r]))
@@ -328,8 +326,7 @@ def decompose_sum(log: RegenerationLog, spec: RewardSpec, rho_hat: float,
     return SumDecomposition(head=head, core=core, tail=tail, horizon=n)
 
 
-def estimate_all(log: RegenerationLog, spec: RewardSpec,
-                 rng: np.random.Generator | None = None) -> RewardEstimate:
+def estimate_all(log: RegenerationLog, spec: RewardSpec) -> RewardEstimate:
     """Time-averaged reward over the nominal horizon with its block error
     bar and asymptotic variance, from one pass over the rewards (the
     ``sldsim estimate`` payload).
@@ -337,11 +334,12 @@ def estimate_all(log: RegenerationLog, spec: RewardSpec,
     The value is the plain average of ``r`` over the first N states. When
     at least 30 complete blocks exist, a standard error is attached by
     resampling whole blocks with replacement (``_N_BOOTSTRAP`` times) and
-    recomputing the ratio of block reward sums to block lengths; block
-    boundaries are regeneration times, so resampled blocks are
-    exchangeable.  ``sigma2_as`` is then the mean squared block sum of the
-    rewards centered at the value, over the mean block length (Meyn &
-    Tweedie, ch. 17).
+    recomputing the ratio of block reward sums to block lengths, on the
+    draws of ``np.random.default_rng(0)``; block boundaries are
+    regeneration times, so resampled blocks are exchangeable.
+    ``sigma2_as`` is then the mean squared block sum of the rewards
+    centered at the value, over the mean block length (Meyn & Tweedie,
+    ch. 17).
     """
     r = rewards_of(log.states, spec)
     value = float(np.mean(r[:log.horizon]))
@@ -351,10 +349,9 @@ def estimate_all(log: RegenerationLog, spec: RewardSpec,
     sums = _block_sums(log, r)
     stderr = sigma2 = None
     if log.block_count >= 30:
-        rng = np.random.default_rng(0) if rng is None else rng
         lens = np.diff(np.asarray(log.taus, dtype=float))
         m = sums.shape[0]
-        idx = rng.integers(0, m, size=(_N_BOOTSTRAP, m))
+        idx = np.random.default_rng(0).integers(0, m, size=(_N_BOOTSTRAP, m))
         stat = sums[idx].sum(axis=1) / lens[idx].sum(axis=1)
         stderr = float(np.std(stat, ddof=1))
         sigma2 = float(np.mean(_block_sums(log, r - value) ** 2)

@@ -38,6 +38,7 @@ from .errors import ConfigError, MaxStepsExceeded, SldsimError, report_error
 from .ergodicity import certify, classify_regions
 from .model import (
     DIVERGENCE_LIMIT,
+    MAX_STEPS,
     ClosedLoop,
     Policy,
     RewardSpec,
@@ -60,7 +61,8 @@ class SweepConfig:
 
     Defaults are desk scale.  ``gamma_trials`` falls back to ``trials``
     when unset.  ``gammas`` and ``gamma_root`` are root-level gains; the
-    certified contraction rate is their square.
+    certified contraction rate is their square.  ``max_steps`` is at most
+    ``MAX_STEPS`` (2**53), as :func:`~sldsim.model.lockstep` requires.
     """
 
     dims: tuple[int, ...] = (25, 50, 75, 100, 125, 150, 175, 200)
@@ -89,6 +91,8 @@ class SweepConfig:
         for name, value in counts.items():
             if not (_is_int(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1")
+        if self.max_steps > MAX_STEPS:
+            raise ConfigError("max_steps must be at most 2**53")
         if not (_is_int(self.master_seed) and self.master_seed >= 0):
             raise ConfigError("master_seed must be a nonnegative integer")
         # Gains of 1 or more are legal to configure; certification is
@@ -237,10 +241,11 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
     ``<= DIVERGENCE_LIMIT``, and every chunk of any other model, is
     stepped by :func:`_path` from the chunk's start and generator state,
     which raises a divergence as :func:`simulate` raises it, at its
-    absolute step.
+    absolute step.  Raises ``ValueError`` unless ``1 <= n_steps <=
+    MAX_STEPS`` (2**53), before any draw.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    if not 1 <= n_steps <= MAX_STEPS:
+        raise ValueError("n_steps must lie in [1, 2**53]")
     x = _start_state(model, x0)
     table = model.table
     gains = None

@@ -136,7 +136,7 @@ def test_04_closed_form_reward_oracle() -> None:
     minor = operational_minorization(s.cert)
     log = simulate_regenerative(s.cl, s.model, minor, horizon=1_000_000,
                                 rng=np.random.default_rng(41))
-    est = estimate_all(log, s.spec, rng=np.random.default_rng(0))
+    est = estimate_all(log, s.spec)
     target = math.sqrt(2.0 / math.pi)
     dt = time.perf_counter() - t0
     gap_sigmas = (abs(est.value - target) / est.standard_error

@@ -21,9 +21,10 @@ from sldsim import (
     simulate,
     validate_bound,
 )
+import sldsim.model as model_mod
 from sldsim.model import lockstep
 
-from conftest import build_system, dense_shells, quadrants
+from conftest import build_system, contracting_system, dense_shells, quadrants
 
 # Benchmark chain: n = 1, gamma = 0.81, c = 4, rho = 10, and the
 # operational constant for a worst gain of 2.
@@ -255,6 +256,22 @@ class TestValidateBound:
         with pytest.raises(ValueError, match="rho_star"):
             validate_bound(sys.cl, sys.model, sys.spec, sys.cert,
                            eps=1.0, delta=0.2, trials=20, rho_star=rho_star)
+
+    def test_unfinishable_count_is_refused(self, monkeypatch):
+        # Just under the divergence guard, the README model asks for a
+        # 302-digit count; lockstep refuses it before any step.
+        sys = contracting_system(1)
+        x0 = np.array([1e149])
+        assert required_samples(sys.cert, 0.5, 0.2,
+                                x0_norm_sq=1e298).n_operational > 10**300
+
+        def unreachable(*args):
+            raise AssertionError("validate_bound stepped its trials")
+
+        monkeypatch.setattr(model_mod, "_lockstep", unreachable)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            validate_bound(sys.cl, sys.model, sys.spec, sys.cert, eps=0.5,
+                           delta=0.2, trials=1, rho_star=1.0, x0=x0)
 
     def test_start_state_may_be_a_list(self):
         sys = build_system(1)

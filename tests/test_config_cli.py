@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import warnings
@@ -606,12 +605,9 @@ class TestCliEstimate:
         a = (outs[0] / "estimate.json").read_bytes()
         assert a == (outs[1] / "estimate.json").read_bytes()
 
-    def test_no_regenerations_is_one_warning_line(self, tmp_path, capsys,
-                                                  monkeypatch):
+    def test_no_regenerations_is_one_warning_line(self, tmp_path, capsys):
         # The benchmark chain started at 15 circles the rho ball and never
-        # enters the operational set; a short extension cap keeps it quick.
-        monkeypatch.setattr(cli, "simulate_regenerative", functools.partial(
-            cli.simulate_regenerative, max_extension=200))
+        # enters the operational set, so the log stops at the horizon.
         cfg = make_config(tmp_path)
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -687,25 +683,36 @@ class TestCliBoundary:
     of memory give their documented exit code, one error line and no
     traceback (``main`` returns instead of raising)."""
 
-    @pytest.mark.parametrize("argv, code", [
-        (["bound", "--x0-norm-sq", "1e300"], 0),
-        (["bound", "--eps", "1e-100"], 0),
-        (["bound", "--n-steps", str(10**110)], 0),
-        (["bound", "--x0-norm-sq", "1e308"], 2),
-        (["bound", "--eps", "1e-200"], 2),
-        (["bound", "--n-steps", str(10**400)], 2),
-        # Arrays past the 47-bit address space: refused, never allocated.
-        (["simulate", "--n-steps", str(10**14)], 2),
-        (["estimate", "--n-steps", str(10**14)], 2),
-        (["estimate", "--op-radius", "1e308"], 2),
-        (["simulate", "--x0", "1e308"], 1),
+    # The README model: the n = 1 case study, gains 0.9 and 0.5.  With
+    # rho at 1e160 (and inner gain 2), rho^2 overflows a double.
+    README = {"c_root": 0.5}
+    HUGE_RHO = {"c_root": 2.0, "rho": 1e160}
+
+    @pytest.mark.parametrize("argv, code, model", [
+        (["bound", "--x0-norm-sq", "1e300"], 0, README),
+        (["bound", "--eps", "1e-100"], 0, README),
+        (["bound", "--n-steps", str(10**110)], 0, README),
+        (["bound", "--x0-norm-sq", "1e308"], 2, README),
+        (["bound", "--eps", "1e-200"], 2, README),
+        (["bound", "--n-steps", str(10**400)], 2, README),
+        # Arrays past the 47-bit address space: refused, never allocated,
+        # and past 2**63 bytes or rows numpy cannot size them at all.
+        (["simulate", "--n-steps", str(10**14)], 2, README),
+        (["estimate", "--n-steps", str(10**14)], 2, README),
+        (["simulate", "--n-steps", str(2 * 10**18)], 2, README),
+        (["estimate", "--n-steps", str(10**20)], 2, README),
+        (["estimate", "--op-radius", "1e308"], 2, README),
+        (["simulate", "--x0", "1e308"], 1, README),
+        (["certify"], 2, HUGE_RHO),
+        (["bound"], 2, HUGE_RHO),
+        (["estimate"], 2, HUGE_RHO),
     ], ids=["bound-x0-1e300", "bound-eps-1e-100", "bound-n-1e110",
             "bound-x0-1e308", "bound-eps-1e-200", "bound-n-1e400",
-            "simulate-n-1e14", "estimate-n-1e14", "estimate-radius-1e308",
-            "simulate-x0-1e308"])
-    def test_extreme_flag_values(self, argv, code, tmp_path, capsys):
-        # The README model: the n = 1 case study, gains 0.9 and 0.5.
-        cfg = make_config(tmp_path, c_root=0.5)
+            "simulate-n-1e14", "estimate-n-1e14", "simulate-n-2e18",
+            "estimate-n-1e20", "estimate-radius-1e308", "simulate-x0-1e308",
+            "certify-rho-1e160", "bound-rho-1e160", "estimate-rho-1e160"])
+    def test_extreme_flag_values(self, argv, code, model, tmp_path, capsys):
+        cfg = make_config(tmp_path, **model)
         out = tmp_path / "o"
         assert main(argv + ["--config", cfg, "--out", str(out)]) == code
         err = capsys.readouterr().err
@@ -798,10 +805,19 @@ class TestCliSweeps:
         pytest.param({"gammas": [0.5, math.inf]}, id="gammas-infinite"),
         pytest.param({"eps_stop": math.nan}, id="eps_stop-nan"),
         pytest.param({"master_seed": -1}, id="master_seed-negative"),
+        pytest.param({"max_steps": 2**70}, id="max_steps-2-to-70"),
+        pytest.param({"rho_ball": 1e160}, id="rho_ball-1e160"),
     ])
-    @pytest.mark.parametrize("entry", ["run_pipeline", "sweep-gamma"])
+    @pytest.mark.parametrize("entry", ["run_pipeline", "sweep-dim",
+                                       "sweep-gamma"])
     def test_bad_sweep_input_exits_2_with_one_line(self, entry, fields,
-                                                   tmp_path, capsys):
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+        # Refused before any cell steps a chain.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep cell stepped")
+
+        monkeypatch.setattr("sldsim.sweep.lockstep", unreachable)
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"sweep": fields}))
         out = tmp_path / "o"

@@ -366,7 +366,7 @@ class TestSimulateRegenerative:
         op = operational_minorization(sys.cert)
         log = simulate_regenerative(sys.cl, sys.model, op, 200,
                                     np.random.default_rng(12),
-                                    x0=np.array([15.0]), max_extension=200)
+                                    x0=np.array([15.0]))
         assert log.taus == ()
         assert log.overshoot is None
         assert len(log.states) == 200
@@ -382,8 +382,7 @@ class TestSimulateRegenerative:
         op = operational_minorization(sys.cert)
         tiny = dataclasses.replace(op, log_beta=-690.0)
         log = simulate_regenerative(sys.cl, sys.model, tiny, 500,
-                                    np.random.default_rng(33),
-                                    max_extension=5000)
+                                    np.random.default_rng(33))
         assert np.any(tiny.contains(log.states))
         assert log.taus == () and len(log.states) == 500
 
@@ -401,7 +400,7 @@ class TestSimulateRegenerative:
         x0 = np.array(x0)
         log = simulate_regenerative(sys.cl, sys.model, op, 3000,
                                     np.random.default_rng(29),
-                                    x0=x0, max_extension=100)
+                                    x0=x0)
         plain = simulate(sys.cl, sys.model, sys.spec, x0, 3001,
                          np.random.default_rng(29)).states
         kept = min(len(log.states), 3001)
@@ -429,8 +428,7 @@ class TestSimulateRegenerative:
                 with pytest.raises(DivergenceError) as info:
                     simulate_regenerative(cl, model, minor, horizon,
                                           np.random.default_rng(30),
-                                          x0=np.array([0.0]),
-                                          max_extension=2000)
+                                          x0=np.array([0.0]))
                 reports.append((info.value.step_index, info.value.norm))
         assert len(set(reports)) == 1 and 300 < reports[0][0] < 2000
 
@@ -475,7 +473,7 @@ def blocks_log(m, seed=22):
                                     horizon=int(taus[-1]) - 1)
 
 
-def two_pass_reward(log, spec, rng=None):
+def two_pass_reward(log, spec):
     """The reward estimate as two separate passes gave it before
     :func:`estimate_all` took one: the value, its block bootstrap error
     bar and the block sums (``sigma2_as`` left None)."""
@@ -487,7 +485,7 @@ def two_pass_reward(log, spec, rng=None):
     sums = regen._block_sums(log, r)
     stderr = None
     if log.block_count >= 30:
-        rng = np.random.default_rng(0) if rng is None else rng
+        rng = np.random.default_rng(0)
         lens = np.diff(np.asarray(log.taus, dtype=float))
         m = sums.shape[0]
         idx = rng.integers(0, m, size=(regen._N_BOOTSTRAP, m))
@@ -533,8 +531,8 @@ class TestEstimators:
     def test_two_seeds_agree_within_error(self):
         sys, log_a = contracting_log(seed=17)
         _, log_b = contracting_log(seed=18)
-        a = estimate_all(log_a, sys.spec, rng=np.random.default_rng(0))
-        b = estimate_all(log_b, sys.spec, rng=np.random.default_rng(0))
+        a = estimate_all(log_a, sys.spec)
+        b = estimate_all(log_b, sys.spec)
         gap = abs(a.value - b.value)
         assert gap < 4 * math.hypot(a.standard_error, b.standard_error)
 
@@ -572,10 +570,10 @@ class TestEstimators:
         log, spec = make(), contracting_system(1).spec
         with warnings.catch_warnings(record=True) as got:
             warnings.simplefilter("always")
-            est = estimate_all(log, spec, rng=np.random.default_rng(5))
+            est = estimate_all(log, spec)
         with warnings.catch_warnings(record=True) as want:
             warnings.simplefilter("always")
-            old = two_pass_reward(log, spec, rng=np.random.default_rng(5))
+            old = two_pass_reward(log, spec)
         assert ([str(w.message) for w in got]
                 == [str(w.message) for w in want])
         assert est.value == old.value
@@ -637,21 +635,20 @@ class TestDecomposeSum:
             direct, abs=1e-9 * 5000)
 
     def test_identity_at_reduced_horizon(self):
+        # The log's own bits, cut again at each shorter horizon.
         sys, log = contracting_log(horizon=5000, seed=25)
+        bits = np.zeros(len(log.states), dtype=np.uint8)
+        bits[np.asarray(log.taus) - 1] = 1
         for n in (1, 100, 4999):
-            dec = decompose_sum(log, sys.spec, 0.5, horizon=n)
+            cut = RegenerationLog.from_raw(log.states, bits, n)
+            dec = decompose_sum(cut, sys.spec, 0.5)
             direct = float(np.sum(rewards_of(log.states[:n], sys.spec)
                                   - 0.5))
             assert dec.head + dec.core - dec.tail == pytest.approx(
                 direct, abs=1e-9 * n)
 
     def test_errors(self):
-        sys, log = contracting_log(horizon=2000, seed=26)
-        with pytest.raises(ValueError):
-            decompose_sum(log, sys.spec, 0.0, horizon=0)
-        with pytest.raises(ValueError):
-            decompose_sum(log, sys.spec, 0.0, horizon=log.horizon + 1)
-
+        sys = contracting_system(1)
         no_regen = RegenerationLog.from_raw(np.zeros(5),
                                             np.zeros(5, dtype=np.uint8),
                                             horizon=4)

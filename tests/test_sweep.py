@@ -77,6 +77,14 @@ def bench(n=1, gamma_root=0.9, c_root=2.0, rho=10.0):
     return model, closed_loop(model, policy), spec
 
 
+class Undrawable:
+    """A generator stand-in that fails at any use, so a call that must
+    refuse its arguments before drawing cannot run a chain."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the generator was used ({name})")
+
+
 class TestSweepConfig:
     def test_desk_defaults(self):
         cfg = SweepConfig()
@@ -110,6 +118,9 @@ class TestSweepConfig:
             SweepConfig(gamma_trials=0)
         with pytest.raises(ConfigError):
             SweepConfig(max_steps=0)
+        with pytest.raises(ConfigError):
+            SweepConfig(max_steps=2**53 + 1)
+        assert SweepConfig(max_steps=2**53).max_steps == 2**53
 
     @pytest.mark.parametrize("fields", [
         dict(gamma_dims=(0,)), dict(gamma_dims=(10, 10)),
@@ -241,6 +252,12 @@ class TestPseudoSampleComplexity:
         with pytest.raises(ValueError):
             pseudo_sample_complexity(cl, model, spec, 1e-3, rng, 100,
                                      x0=np.zeros(2))
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            pseudo_sample_complexity(cl, model, spec, 1e-3, Undrawable(),
+                                     2**53 + 1)
+        # The largest count is accepted; the rule stops the chain early.
+        assert pseudo_sample_complexity(cl, model, spec, 1e-2, rng,
+                                        2**53) < 10**5
 
 
 def lockstep_stopping_times(n, gamma_root, c_root, rho, eps_stop, rngs):
@@ -488,6 +505,17 @@ class TestLockstepKernel:
         assert math.isnan(info.value.norm)
         assert info.value.step_index == 1
 
+    @pytest.mark.parametrize("n_steps", [0, 2**53 + 1, 10**302],
+                             ids=["zero", "2-to-53-plus-1", "10-to-302"])
+    def test_step_count_range(self, n_steps):
+        # Past 2**53 a count is not an exact double; refused before any
+        # draw, with or without a stopping rule.
+        model, cl, spec = bench()
+        for eps_stop in (None, 1e-2):
+            with pytest.raises(ValueError, match="n_steps"):
+                lockstep(cl, model, spec, [Undrawable()], n_steps,
+                         eps_stop=eps_stop)
+
     def test_runs_every_step_without_a_rule(self):
         # Totals are S_N over x_1 .. x_N of each chain's own trajectory.
         model, cl, spec = dense_shells(3)
@@ -612,6 +640,9 @@ class TestReferenceRewardAverage:
         with pytest.raises(ValueError):
             reference_reward_average(cl, model, spec, 10, rng,
                                      x0=np.zeros(3))
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            reference_reward_average(cl, model, spec, 2**53 + 1,
+                                     Undrawable())
 
 
 def one_shell(n, gain):
@@ -748,6 +779,29 @@ class TestSeeding:
         a = trial_seed_sequence(0, 2, 10, 0.55, 0)
         b = trial_seed_sequence(0, 2, 10, 0.55 + 1e-12, 0)
         assert a.spawn_key == b.spawn_key
+
+    @pytest.mark.parametrize("row", [
+        "25,0.9,0,34,0,13595829236325541747",
+        "200,0.9,99,84,0,13106154105787468555",
+    ], ids=["first", "last"])
+    def test_raw_row_reruns_from_its_seed_sequence(self, row):
+        # Rows of the golden dimension_raw.csv (GOLDEN_SHA256).  A trial
+        # reruns on default_rng(trial_seed_sequence(...)); its seed column
+        # is that sequence's first generate_state word, which names the
+        # stream but does not seed it.
+        n, gamma, trial, n_pseudo, _, seed = row.split(",")
+        n, gamma, trial = int(n), float(gamma), int(trial)
+        cfg = sweep_config_from_dict(
+            json.loads(GOLDEN_CONFIG.read_text())["sweep"])
+        ss = trial_seed_sequence(cfg.master_seed, sweep_mod._DIM_TAG, n,
+                                 gamma, trial)
+        model, cl, spec = bench(n, gamma, cfg.c_root, cfg.rho_ball)
+        (got,), _ = lockstep(cl, model, spec, [np.random.default_rng(ss)],
+                             cfg.max_steps, eps_stop=cfg.eps_stop)
+        assert got == int(n_pseudo)
+        assert int(ss.generate_state(1, np.uint64)[0]) == int(seed)
+        assert (np.random.default_rng(int(seed)).standard_normal()
+                != np.random.default_rng(ss).standard_normal())
 
     def test_trial_augmentation_preserves_prefix(self):
         small = SweepConfig(dims=(2,), trials=4, eps_stop=1e-3)
