@@ -268,7 +268,9 @@ def validate_bound(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
 
     Trial ``t`` averages the rewards of ``x_1 .. x_{n_used}`` on its own
     generator; all trials run together through
-    :func:`~sldsim.model.lockstep`.  The empirical failure rate is compared
+    :func:`~sldsim.model.lockstep`, which steps each trial of a
+    one-dimensional shell model with norm reward as Python floats.  The
+    empirical failure rate is compared
     against ``delta + 2 * sqrt(delta * (1 - delta) / trials)``, two
     standard errors above the bound's guarantee, so a correct bound fails
     this check with probability well under 5 percent.  Raises

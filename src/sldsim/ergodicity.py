@@ -36,6 +36,11 @@ _DRIFT_SLACK = 16 * np.finfo(float).eps
 
 _REACH_TOL = 1e-9
 _MAX_SUBSETS = 100_000      # maximising a norm over a polytope is NP-hard
+# Row subsets :func:`_reaches` decomposes in one stacked SVD (a stacked
+# SVD equals the per-matrix one bit for bit), and a bound on the entries
+# of each factor of that chunk, which keeps large ranks to a few MB.
+_SUBSET_CHUNK = 4096
+_CHUNK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -160,13 +165,18 @@ def _reaches(L: np.ndarray, C: np.ndarray, r: float, j: int) -> bool:
     if (count := math.comb(len(rows), k)) > _MAX_SUBSETS:
         raise ConfigError(f"region {j}: deciding reach takes {count} row "
                           f"subsets of rank {k}, more than {_MAX_SUBSETS}")
+    subsets = itertools.combinations(range(len(rows)), k)
+    step = max(1, min(_SUBSET_CHUNK, _CHUNK_ENTRIES // (k + 1) ** 2))
     rays = []
-    for subset in itertools.combinations(range(len(rows)), k):
-        _, s, vt = np.linalg.svd(rows[list(subset)])
-        if (s > _REACH_TOL).all():      # independent rows
-            rays += [d for d in (vt[k], -vt[k])
-                     if (rows @ d <= _REACH_TOL).all()]
-    d = np.array(rays).reshape(-1, k + 1)
+    for _ in range(0, count, step):
+        chunk = list(itertools.islice(subsets, step))
+        _, s, vt = np.linalg.svd(rows[np.array(chunk, dtype=np.intp)
+                                      .reshape(len(chunk), k)])
+        null = vt[(s > _REACH_TOL).all(axis=1), k]      # independent rows
+        meet = null @ rows.T
+        rays += [null[(meet <= _REACH_TOL).all(axis=1)],
+                 -null[(meet >= -_REACH_TOL).all(axis=1)]]
+    d = np.concatenate(rays)
     t = d[:, k]
     y = d[t > _REACH_TOL, :k] / t[t > _REACH_TOL, None]     # the vertices
     return len(y) > 0 and (len(y) < len(d) or k < L.shape[1] or bool(
@@ -185,8 +195,8 @@ def certify(cl: ClosedLoop, classification: RegionClassification,
     NotCertifiable
         Some region reaching outside the ball has spectral norm >= 1.
     ConfigError
-        ``rho_ball`` is so large that ``k``, ``s_radius`` or ``k2`` is
-        not a finite double.
+        ``rho_ball`` is so large that ``k``, ``s_radius``, ``k2`` or
+        ``r_hat`` is not a finite double.
     ValueError
         ``n`` is not the closed loop's dimension.
     """
@@ -203,17 +213,18 @@ def certify(cl: ClosedLoop, classification: RegionClassification,
     if gamma >= 1.0:
         raise NotCertifiable(gamma=gamma, region_index=worst)
     c = max((sq[j] for j in classification.bounded_set), default=0.0)
+    gamma_eff = max(gamma, GAMMA_FLOOR)  # the r_hat formula divides by gamma
     try:
         k = n + c * rho_ball ** 2
         s_radius = math.sqrt(2.0 * (k + 1.0))
         k2 = 1.5 + 2.0 * c + c * c * rho_ball ** 2
+        r_hat = 2.0 * k / (gamma_eff * (1.0 - gamma_eff))
     except OverflowError:       # rho_ball ** 2 past the double range
-        k = s_radius = k2 = math.inf
-    if not all(map(math.isfinite, (k, s_radius, k2))):
+        k = s_radius = k2 = r_hat = math.inf
+    if not all(map(math.isfinite, (k, s_radius, k2, r_hat))):
         raise ConfigError(f"rho = {rho_ball!r} is too large: K = n + c rho^2, "
-                          f"the small-set radius or K2 is not a finite double")
-    gamma_eff = max(gamma, GAMMA_FLOOR)  # the r_hat formula divides by gamma
-    r_hat = 2.0 * k / (gamma_eff * (1.0 - gamma_eff))
+                          f"the small-set radius, K2 or r_hat = 2 K / (gamma "
+                          f"(1 - gamma)) is not a finite double")
     lam = (1.0 + gamma) / 2.0
     max_gain = max(cl.ahat_norms)
     return Certificate(

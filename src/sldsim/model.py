@@ -34,6 +34,9 @@ MAX_STEPS = 2**53
 _GROUP = 128
 # Noise rows each chain draws per refill of that buffer.
 _NOISE_BLOCK = 16
+# Most noise values :func:`_float_chain` draws at once, a multiple of
+# ``_NOISE_BLOCK``.
+_FLOAT_CHUNK = 4096
 # Rows :func:`_path` steps between checks of the newest state's norm, so
 # a diverged chain stops within this many steps of its divergence.
 _CHECK_ROWS = 1024
@@ -489,6 +492,68 @@ def _start_state(model: SldsModel, x0: np.ndarray | None) -> np.ndarray:
     return x0
 
 
+def _float_shells(cl: ClosedLoop, model: SldsModel, spec: RewardSpec):
+    """``(b, g_in, g_out, breaks, gains)`` for stepping a chain of this
+    model as Python floats, or None unless it has ``n == 1``, shells only,
+    norm reward and a shell owning every piece of the radius axis.
+
+    ``gains[k]`` is the gain ``Ahat_j`` of piece ``k``'s owner ``j``, so a
+    state of norm ``r`` steps with ``gains[bisect_left(breaks, r)]`` (NaN
+    falls in piece 0).  With at most one break ``b`` in ``(0, inf)``
+    (``inf`` without one) ``breaks`` is empty, and that gain is ``g_out
+    if r > b else g_in``, exactly: the origin's owner is the owner of
+    ``(0, b]``, since the first shell with ``r_lo == 0`` covers it.
+    """
+    table = model.table
+    if not (model.n == 1 and spec.p_hat_is_identity and not table.poly_ids
+            and table.none not in table.owners[:-1]):
+        return None
+    gains = [float(cl.ahat[j][0, 0]) for j in table.owners[:-1]]
+    breaks = table.breaks
+    return (breaks[1], gains[1], gains[-1],
+            () if len(breaks) <= 3 else breaks, gains)
+
+
+def _float_chain(shells, rng: np.random.Generator, y: float, n_steps: int,
+                 eps_stop: float | None) -> tuple[int, float]:
+    """One chain of :func:`_lockstep` on a model :func:`_float_shells`
+    accepts, stepped as Python floats from ``y``: its ``(N, S_N)`` bit for
+    bit, or the same :class:`DivergenceError`.
+
+    The norm is ``sqrt(y * y)``, as :func:`_row_norms` computes it; the
+    guard and the stopping rule are ``_lockstep``'s expressions.  Like
+    ``_lockstep`` it draws whole ``_NOISE_BLOCK`` blocks through the
+    block of the last step: a stopped chain's last chunk is redrawn up
+    to that block from the generator state saved at the chunk's start.
+    """
+    b, g_in, g_out, breaks, gains = shells
+    sqrt, stop = math.sqrt, eps_stop is not None
+    r = sqrt(y * y)
+    total = 0.0
+    start = 0
+    size = _NOISE_BLOCK if stop else _FLOAT_CHUNK
+    while start < n_steps:
+        size = min(2 * size, _FLOAT_CHUNK)
+        m = min(size, n_steps - start)
+        state = rng.bit_generator.state if stop else None
+        noise = rng.standard_normal(-(-m // _NOISE_BLOCK) * _NOISE_BLOCK)
+        for count, w in enumerate(noise[:m].tolist(), start):
+            y = (gains[bisect_left(breaks, r)] if breaks
+                 else g_out if r > b else g_in) * y + w
+            r = sqrt(y * y)
+            if not r <= DIVERGENCE_LIMIT:       # NaN fails
+                raise DivergenceError(step_index=count + 1, norm=r)
+            if (stop and count
+                    and abs(total / count - r) / (count + 1) < eps_stop):
+                rng.bit_generator.state = state
+                rng.standard_normal(
+                    (count // _NOISE_BLOCK + 1) * _NOISE_BLOCK - start)
+                return count, total
+            total += r
+        start += m
+    return n_steps, total
+
+
 def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
              rngs: list[np.random.Generator], n_steps: int,
              x0: np.ndarray | None = None,
@@ -503,13 +568,36 @@ def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     gives on ``rngs[i]``, bit for bit.  Raises ``ValueError`` unless
     ``1 <= n_steps <= MAX_STEPS`` (2**53), before any draw;
     :class:`NoRegion`; and :class:`DivergenceError` on a norm that is not
-    ``<= DIVERGENCE_LIMIT``, ``x0``'s at step 0 as in :func:`simulate`.
+    ``<= DIVERGENCE_LIMIT``, ``x0``'s at step 0 as in :func:`simulate`,
+    else a group's earliest, the first chain's on a tie.
+
+    A model :func:`_float_shells` accepts (one-dimensional shells with
+    norm reward) steps each chain alone as Python floats
+    (:func:`_float_chain`); a chain after one that diverged at step ``s``
+    in its group runs at most ``s - 1`` steps.  Every other model runs
+    the group kernel :func:`_lockstep`.  Both give the same counts,
+    totals and divergence, and leave each generator after the same draws.
     """
     if eps_stop is not None and not eps_stop > 0:
         raise ValueError("eps_stop must be positive")
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError("n_steps must lie in [1, 2**53]")
     x0 = _start_state(model, x0)
+    shells = _float_shells(cl, model, spec)
+    if shells is not None:
+        runs = []
+        for lo in range(0, len(rngs), _GROUP):
+            fail = None     # the group's earliest divergence so far
+            for rng in rngs[lo:lo + _GROUP]:
+                cap = n_steps if fail is None else fail.step_index - 1
+                try:
+                    runs.append(_float_chain(shells, rng, float(x0[0]), cap,
+                                             eps_stop))
+                except DivergenceError as exc:
+                    fail = exc
+            if fail is not None:
+                raise fail
+        return tuple(map(np.array, zip(*runs)))
     gains = _scalar_gains(cl)
     groups = [_lockstep(cl, model, spec, rngs[lo:lo + _GROUP], n_steps, x0,
                         eps_stop, gains)

@@ -43,6 +43,7 @@ from .model import (
     Policy,
     RewardSpec,
     SldsModel,
+    _float_shells,
     _path,
     _start_state,
     closed_loop,
@@ -218,7 +219,9 @@ def pseudo_sample_complexity(cl: ClosedLoop, model: SldsModel,
     at its mean, so ``E N ~ 0.5 * sqrt(pi / (eps_stop * f))``.
 
     This is the one-chain case of :func:`~sldsim.model.lockstep`, so a
-    trial gives the same N here as inside its sweep cell.
+    trial gives the same N here as inside its sweep cell; on a
+    one-dimensional shell model with norm reward that chain steps as
+    Python floats.
     """
     (n_pseudo,), _ = lockstep(cl, model, spec, [rng], max_steps, x0,
                               eps_stop)
@@ -235,9 +238,11 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
 
     Streams the chain in chunks of ``_NOISE_CHUNK`` states whose sums are
     combined exactly, so 1e8 steps lose no precision.  On a
-    one-dimensional shell model with norm reward a chunk is first
+    one-dimensional shell model with norm reward (the selection of
+    :func:`~sldsim.model.lockstep`'s float case) a chunk is first
     stepped as Python floats, gain ``Ahat_j`` on the table's piece owned
-    by region ``j``, checking no state; a chunk whose sum is not
+    by region ``j``, picked by one comparison when the table has at most
+    one break in ``(0, inf)``, checking no state; a chunk whose sum is not
     ``<= DIVERGENCE_LIMIT``, and every chunk of any other model, is
     stepped by :func:`_path` from the chunk's start and generator state,
     which raises a divergence as :func:`simulate` raises it, at its
@@ -247,21 +252,21 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError("n_steps must lie in [1, 2**53]")
     x = _start_state(model, x0)
-    table = model.table
-    gains = None
-    if (model.n == 1 and spec.p_hat_is_identity and not table.poly_ids
-            and table.none not in table.owners[:-1]):
-        gains = [float(cl.ahat[j][0, 0]) for j in table.owners[:-1]]
-        breaks = table.breaks
+    shells = _float_shells(cl, model, spec)
+    if shells is not None:
+        b, g_in, g_out, breaks, gains = shells
     partials = []
     for lo in range(0, n_steps, _NOISE_CHUNK):
         hi = min(lo + _NOISE_CHUNK, n_steps)
-        if gains is not None:
+        if shells is not None:
             state, y = rng.bit_generator.state, float(x[0])
-            total = 0.0 if lo else abs(y)
+            r = abs(y)
+            total = 0.0 if lo else r
             for w in rng.standard_normal(hi - max(lo, 1)).tolist():
-                y = gains[bisect_left(breaks, abs(y))] * y + w
-                total += abs(y)
+                y = (gains[bisect_left(breaks, r)] if breaks
+                     else g_out if r > b else g_in) * y + w
+                r = abs(y)
+                total += r
             if total <= DIVERGENCE_LIMIT:
                 x = np.array([y])
                 partials.append(total)

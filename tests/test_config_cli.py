@@ -687,6 +687,9 @@ class TestCliBoundary:
     # rho at 1e160 (and inner gain 2), rho^2 overflows a double.
     README = {"c_root": 0.5}
     HUGE_RHO = {"c_root": 2.0, "rho": 1e160}
+    # K = 4e300 is finite, but 1 - gamma is 1.1e-16: r_hat overflows.
+    NEAR_ONE = {"gamma_root": 0.99999999999999994, "c_root": 2.0,
+                "rho": 1e150}
 
     @pytest.mark.parametrize("argv, code, model", [
         (["bound", "--x0-norm-sq", "1e300"], 0, README),
@@ -704,13 +707,15 @@ class TestCliBoundary:
         (["estimate", "--op-radius", "1e308"], 2, README),
         (["simulate", "--x0", "1e308"], 1, README),
         (["certify"], 2, HUGE_RHO),
+        (["certify"], 2, NEAR_ONE),
         (["bound"], 2, HUGE_RHO),
         (["estimate"], 2, HUGE_RHO),
     ], ids=["bound-x0-1e300", "bound-eps-1e-100", "bound-n-1e110",
             "bound-x0-1e308", "bound-eps-1e-200", "bound-n-1e400",
             "simulate-n-1e14", "estimate-n-1e14", "simulate-n-2e18",
             "estimate-n-1e20", "estimate-radius-1e308", "simulate-x0-1e308",
-            "certify-rho-1e160", "bound-rho-1e160", "estimate-rho-1e160"])
+            "certify-rho-1e160", "certify-r-hat-overflow",
+            "bound-rho-1e160", "estimate-rho-1e160"])
     def test_extreme_flag_values(self, argv, code, model, tmp_path, capsys):
         cfg = make_config(tmp_path, **model)
         out = tmp_path / "o"

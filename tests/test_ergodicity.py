@@ -33,6 +33,7 @@ from sldsim import (
     region_of,
     sample_in_ball,
 )
+import sldsim.ergodicity as ergodicity_mod
 from sldsim.errors import ConfigError
 from sldsim.ergodicity import (_DRIFT_SLACK, _MAX_SUBSETS, GAMMA_FLOOR,
                                RegionClassification, _reaches)
@@ -341,6 +342,17 @@ class TestExactReach:
         scale = np.arange(1.0, len(C) + 1.0) * 1e3
         assert _reaches(L * scale[:, None], C * scale, 10.0, 0) is reaches
 
+    @pytest.mark.parametrize("r, reaches", [(2.6, True), (2.7, False)])
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    def test_box_across_chunks(self, monkeypatch, r, reaches, chunk):
+        # The cube [-1, 1]^7 has C(15, 7) = 6,435 row subsets: two stacked
+        # SVDs, or one per subset.  Its corners have norm sqrt(7) = 2.6458.
+        monkeypatch.setattr(ergodicity_mod, "_SUBSET_CHUNK", chunk)
+        L = np.vstack([np.eye(7), -np.eye(7)])
+        assert _reaches(L, np.ones(14), r, 0) is reaches
+        # Without its last face the cube is a half-open prism, unbounded.
+        assert _reaches(L[:-1], np.ones(13), r, 0) is True
+
     def test_too_many_row_subsets(self):
         n = 5
         m = next(m for m in range(n, 100)
@@ -390,6 +402,15 @@ class TestCertify:
             certify(cl, cls_, 1.0, 1)
         assert info.value.gamma == pytest.approx(1.21)
         assert info.value.region_index == 0
+
+    def test_overflowing_r_hat_is_refused(self):
+        # K = 4e300 and the small-set radius are finite; r_hat = 2 K /
+        # (gamma (1 - gamma)) is not, since 1 - gamma is 1.1e-16.
+        model, policy, _ = build_case_study(1, 0.99999999999999994, 2.0,
+                                            1e150)
+        with pytest.raises(ConfigError, match="rho = 1e\\+150.*r_hat"):
+            certify(closed_loop(model, policy),
+                    classify_regions(model, 1e150), 1e150, 1)
 
     def test_dimension_must_match_closed_loop(self):
         # A wrong n would silently enter K = n + c rho^2.

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -209,7 +210,9 @@ class TestPseudoSampleComplexity:
 
     def test_scalar_and_generic_paths_agree(self, monkeypatch):
         # The case study's matrices are g * I: the kernel scales rows by
-        # g unless its detection is disabled, forcing the dense products.
+        # g unless its detection is disabled, forcing the dense products;
+        # at n = 1 the chain steps as Python floats unless that selection
+        # is disabled too.
         systems = [bench(n) for n in (1, 10)]
         assert all(model_mod._scalar_gains(cl) is not None
                    for _, cl, _ in systems)
@@ -219,6 +222,8 @@ class TestPseudoSampleComplexity:
                                              np.random.default_rng(4), 10**6)
                     for model, cl, spec in systems]
         fast = stopping_times()
+        monkeypatch.setattr(model_mod, "_float_shells", lambda *args: None)
+        assert stopping_times() == fast
         monkeypatch.setattr(model_mod, "_scalar_gains", lambda cl: None)
         assert stopping_times() == fast
 
@@ -524,6 +529,121 @@ class TestLockstepKernel:
         for total, rng in zip(totals, self.rngs(5)):
             traj = simulate(cl, model, spec, np.zeros(3), 301, rng)
             assert total == pytest.approx(traj.rewards[1:].sum(), rel=1e-13)
+
+
+def shell_chain(gains, cuts):
+    """A one-dimensional model of shells split at the radii ``cuts``, gain
+    ``gains[i]`` on the ``i``-th shell from the origin, with norm reward."""
+    edges = (0.0, *cuts, math.inf)
+    model = SldsModel(n=1, p=1,
+                      regions=tuple(radial_shell(lo, hi)
+                                    for lo, hi in zip(edges, edges[1:])),
+                      dynamics=tuple((g * np.eye(1), np.zeros((1, 1)))
+                                     for g in gains))
+    policy = Policy(pi=np.zeros((1, 1)))
+    spec = RewardSpec.bind(Q=np.eye(1), R=np.eye(1), policy=policy)
+    return model, closed_loop(model, policy), spec
+
+
+FLOAT_MODELS = {
+    "readme": lambda: bench(),
+    "gains-0.9-0.5-rho-1": lambda: bench(1, 0.9, 0.5, 1.0),
+    "gains-0.5-2-rho-3": lambda: bench(1, 0.5, 2.0, 3.0),
+    "three-shells": lambda: shell_chain((1.5, 0.7, 0.95), (2.0, 6.0)),
+    "one-shell": lambda: one_shell(1, 0.8),
+}
+
+
+class TestFloatLockstep:
+    """``lockstep``'s float case, one-dimensional shell models with norm
+    reward stepped one chain at a time, against ``_lockstep``, its
+    oracle, reached by patching the selection off: the same steps,
+    totals, divergence and next draw of every generator."""
+
+    @staticmethod
+    def run(system, k, n_steps, x0=None, eps_stop=None, seed=3):
+        """Steps, totals and each generator's next draw."""
+        model, cl, spec = system
+        rngs = [np.random.default_rng([seed, t]) for t in range(k)]
+        steps, totals = lockstep(cl, model, spec, rngs, n_steps, x0,
+                                 eps_stop)
+        return steps, totals, [rng.standard_normal() for rng in rngs]
+
+    @staticmethod
+    def kernel(monkeypatch, call):
+        with monkeypatch.context() as patch:
+            patch.setattr(model_mod, "_float_shells", lambda *args: None)
+            return call()
+
+    def check(self, monkeypatch, *args):
+        """:meth:`run` on the float case equals it on the kernel; returns
+        the steps."""
+        steps, totals, draws = self.run(*args)
+        want = self.kernel(monkeypatch, lambda: self.run(*args))
+        assert steps.dtype == want[0].dtype
+        assert np.array_equal(steps, want[0])
+        assert np.array_equal(totals, want[1])
+        assert draws == want[2]
+        return steps
+
+    @pytest.mark.parametrize("eps_stop", [None, 1e-3])
+    @pytest.mark.parametrize("name", list(FLOAT_MODELS))
+    def test_equals_kernel(self, monkeypatch, name, eps_stop):
+        system = model, cl, spec = FLOAT_MODELS[name]()
+        breaks = model_mod._float_shells(cl, model, spec)[3]
+        assert (breaks != ()) == (name == "three-shells")   # bisect
+        stopped = 0
+        for x0, n_steps, k in itertools.product(
+                (None, [5.0], [-40.0]), (1, 2, 16, 17, 3901), (1, 50, 129)):
+            steps = self.check(monkeypatch, system, k, n_steps, x0, eps_stop)
+            stopped += int((steps < n_steps).sum())
+        assert (stopped > 0) == (eps_stop is not None)
+
+    @pytest.mark.parametrize("name", [name for name in FLOAT_MODELS
+                                      if name != "one-shell"])
+    def test_start_on_a_break(self, monkeypatch, name):
+        # A norm exactly at a break b lies in the piece (., b], so the
+        # first step takes the inner gain.
+        system = model, _, _ = FLOAT_MODELS[name]()
+        for b in model.table.breaks[1:-1]:
+            for x0 in ([b], [-b]):
+                self.check(monkeypatch, system, 3, 17, x0)
+
+    @pytest.mark.parametrize("layout", ["first-group", "early-first",
+                                        "second-group", "across-groups"])
+    def test_group_earliest_divergence(self, monkeypatch, layout):
+        # Inner gain 2, outer 1.03: every chain that the rule does not
+        # stop within a few steps diverges near step 11,600.  A group
+        # raises its earliest divergence before the next group steps.
+        system = bench(1, 1.03, 2.0, 10.0)
+        outcomes = []
+        for t in range(300):
+            try:
+                outcomes.append(int(self.run(system, 1, 20_000, None, 0.5,
+                                             [5, t])[0][0]))
+            except DivergenceError as exc:
+                outcomes.append(-exc.step_index)
+        stops = [t for t, o in enumerate(outcomes) if o > 0]
+        late, early = sorted((t for t, o in enumerate(outcomes) if o < 0),
+                             key=lambda t: outcomes[t])[:2]
+        assert outcomes[late] < outcomes[early] < 0
+        group = model_mod._GROUP
+        order, first = {
+            "first-group": ([late, early], early),
+            "early-first": ([early, late], early),
+            "second-group": (stops[:group] + [late, early], early),
+            "across-groups": ([late] + stops[:group - 1] + [early], late),
+        }[layout]
+
+        def report():
+            model, cl, spec = system
+            rngs = [np.random.default_rng([5, t]) for t in order]
+            with pytest.raises(DivergenceError) as info:
+                lockstep(cl, model, spec, rngs, 20_000, eps_stop=0.5)
+            return info.value.step_index, info.value.norm
+        got = report()
+        assert got == self.kernel(monkeypatch, report)
+        assert got[0] == -outcomes[first]
 
 
 def reference_oracle(cl, model, spec, n_steps, rng):
