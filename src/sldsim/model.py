@@ -34,8 +34,8 @@ MAX_STEPS = 2**53
 _GROUP = 128
 # Noise rows each chain draws per refill of that buffer.
 _NOISE_BLOCK = 16
-# Most noise values :func:`_float_chain` draws at once, a multiple of
-# ``_NOISE_BLOCK``.
+# Noise values :func:`_float_chain` draws at once for a chain with no
+# stopping rule, a multiple of ``_NOISE_BLOCK``.
 _FLOAT_CHUNK = 4096
 # Rows :func:`_path` steps between checks of the newest state's norm, so
 # a diverged chain stops within this many steps of its divergence.
@@ -523,19 +523,17 @@ def _float_chain(shells, rng: np.random.Generator, y: float, n_steps: int,
     The norm is ``sqrt(y * y)``, as :func:`_row_norms` computes it; the
     guard and the stopping rule are ``_lockstep``'s expressions.  Like
     ``_lockstep`` it draws whole ``_NOISE_BLOCK`` blocks through the
-    block of the last step: a stopped chain's last chunk is redrawn up
-    to that block from the generator state saved at the chunk's start.
+    block of the last step: a fixed-length chain in chunks of
+    ``_FLOAT_CHUNK`` values, a chain under a stopping rule one block at
+    a time.
     """
     b, g_in, g_out, breaks, gains = shells
     sqrt, stop = math.sqrt, eps_stop is not None
     r = sqrt(y * y)
     total = 0.0
-    start = 0
     size = _NOISE_BLOCK if stop else _FLOAT_CHUNK
-    while start < n_steps:
-        size = min(2 * size, _FLOAT_CHUNK)
+    for start in range(0, n_steps, size):
         m = min(size, n_steps - start)
-        state = rng.bit_generator.state if stop else None
         noise = rng.standard_normal(-(-m // _NOISE_BLOCK) * _NOISE_BLOCK)
         for count, w in enumerate(noise[:m].tolist(), start):
             y = (gains[bisect_left(breaks, r)] if breaks
@@ -545,12 +543,8 @@ def _float_chain(shells, rng: np.random.Generator, y: float, n_steps: int,
                 raise DivergenceError(step_index=count + 1, norm=r)
             if (stop and count
                     and abs(total / count - r) / (count + 1) < eps_stop):
-                rng.bit_generator.state = state
-                rng.standard_normal(
-                    (count // _NOISE_BLOCK + 1) * _NOISE_BLOCK - start)
                 return count, total
             total += r
-        start += m
     return n_steps, total
 
 

@@ -10,11 +10,9 @@ echoed in a terminal section at the end of the run.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
-import pytest
 
 from sldsim import (
     Certificate,
@@ -31,7 +29,6 @@ from sldsim import (
     radial_shell,
     region_of,
 )
-import sldsim.model as model_mod
 from sldsim.model import DIVERGENCE_LIMIT
 
 # Two-shell benchmark constants: root gain 0.9 outside the rho ball,
@@ -45,33 +42,6 @@ CASE_RHO = 10.0
 # origin-centered operational small set and actually regenerates. The
 # benchmark values above orbit the ball boundary and never do.
 CONTRACT_C_ROOT = 0.5
-
-
-@pytest.fixture(autouse=True)
-def check_shell_tables(monkeypatch):
-    """Check every region table a test builds: the origin's owner is the
-    owner of the first piece ``(0, b_1]``, and with at most one break
-    ``b`` in ``(0, inf)`` the float steppers' lookup, the last piece's
-    owner if ``r > b`` else the first's, is the table's own lookup at 0,
-    ``b``, either neighbour of ``b``, inf and NaN."""
-    tables = []
-    build = model_mod.RegionTable.__init__
-
-    def record(table, regions):
-        build(table, regions)
-        tables.append(table)
-
-    monkeypatch.setattr(model_mod.RegionTable, "__init__", record)
-    yield
-    for table in tables:
-        owners, breaks = table.owners, table.breaks
-        assert owners[0] == owners[1]
-        if breaks and len(breaks) <= 3:
-            b = breaks[1]
-            for r in (0.0, b, math.nextafter(b, -math.inf),
-                      math.nextafter(b, math.inf), math.inf, math.nan):
-                assert (owners[-2] if r > b else owners[1]) == \
-                    owners[bisect_left(breaks, r)]
 
 
 class System(NamedTuple):

@@ -268,7 +268,8 @@ class TestValidateBound:
         def unreachable(*args):
             raise AssertionError("validate_bound stepped its trials")
 
-        monkeypatch.setattr(model_mod, "_lockstep", unreachable)
+        for stepper in ("_lockstep", "_float_chain"):
+            monkeypatch.setattr(model_mod, stepper, unreachable)
         with pytest.raises(ValueError, match="2\\*\\*53"):
             validate_bound(sys.cl, sys.model, sys.spec, sys.cert, eps=0.5,
                            delta=0.2, trials=1, rho_star=1.0, x0=x0)

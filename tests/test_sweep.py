@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -553,6 +554,21 @@ FLOAT_MODELS = {
     "one-shell": lambda: one_shell(1, 0.8),
 }
 
+# Shell tables the tests build: the float models' and ones with nested,
+# overlapping and missing shells.
+SHELL_TABLES = {
+    **{name: (lambda make=make: make()[0].table)
+       for name, make in FLOAT_MODELS.items()},
+    **{name: (lambda regions=regions: model_mod.RegionTable(regions))
+       for name, regions in {
+           "nested": (radial_shell(0.0, 10.0), radial_shell(0.0)),
+           "overlapping": (radial_shell(0.0, 3.0), radial_shell(2.0)),
+           "inner-only": (radial_shell(0.0, 1.0),),
+           "outer-only": (radial_shell(5.0),),
+           "gap": (radial_shell(0.0, 1.0), radial_shell(2.0)),
+       }.items()},
+}
+
 
 class TestFloatLockstep:
     """``lockstep``'s float case, one-dimensional shell models with norm
@@ -608,6 +624,22 @@ class TestFloatLockstep:
         for b in model.table.breaks[1:-1]:
             for x0 in ([b], [-b]):
                 self.check(monkeypatch, system, 3, 17, x0)
+
+    @pytest.mark.parametrize("name", list(SHELL_TABLES))
+    def test_one_comparison_is_the_table_lookup(self, name):
+        # The origin's owner is the owner of the first piece (0, b_1], so
+        # with at most one break b in (0, inf) the float loops' lookup,
+        # the last piece's owner if r > b else the first's, is the
+        # table's own at 0, b, either neighbour of b, inf and NaN.
+        table = SHELL_TABLES[name]()
+        owners, breaks = table.owners, table.breaks
+        assert owners[0] == owners[1]
+        if len(breaks) <= 3:
+            b = breaks[1]
+            for r in (0.0, b, math.nextafter(b, -math.inf),
+                      math.nextafter(b, math.inf), math.inf, math.nan):
+                assert (owners[-2] if r > b else owners[1]) == \
+                    owners[bisect_left(breaks, r)]
 
     @pytest.mark.parametrize("layout", ["first-group", "early-first",
                                         "second-group", "across-groups"])
