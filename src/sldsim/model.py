@@ -493,25 +493,23 @@ def _start_state(model: SldsModel, x0: np.ndarray | None) -> np.ndarray:
 
 
 def _float_shells(cl: ClosedLoop, model: SldsModel, spec: RewardSpec):
-    """``(b, g_in, g_out, breaks, gains)`` for stepping a chain of this
-    model as Python floats, or None unless it has ``n == 1``, shells only,
-    norm reward and a shell owning every piece of the radius axis.
+    """``(b, g_in, g_out)`` for stepping a chain of this model as Python
+    floats, or None unless it has ``n == 1``, shells only, norm reward, a
+    shell owning every piece of the radius axis and at most one break
+    ``b`` in ``(0, inf)`` (``inf`` without one).
 
-    ``gains[k]`` is the gain ``Ahat_j`` of piece ``k``'s owner ``j``, so a
-    state of norm ``r`` steps with ``gains[bisect_left(breaks, r)]`` (NaN
-    falls in piece 0).  With at most one break ``b`` in ``(0, inf)``
-    (``inf`` without one) ``breaks`` is empty, and that gain is ``g_out
-    if r > b else g_in``, exactly: the origin's owner is the owner of
-    ``(0, b]``, since the first shell with ``r_lo == 0`` covers it.
+    ``g_in`` and ``g_out`` are the gains ``Ahat_j`` of the owners of
+    ``(0, b]`` and ``(b, inf)``.  A state of norm ``r`` steps with ``g_out
+    if r > b else g_in``, exactly: the first shell with ``r_lo == 0``
+    owns both the origin and ``(0, b]``.
     """
     table = model.table
     if not (model.n == 1 and spec.p_hat_is_identity and not table.poly_ids
+            and len(table.breaks) <= 3
             and table.none not in table.owners[:-1]):
         return None
-    gains = [float(cl.ahat[j][0, 0]) for j in table.owners[:-1]]
-    breaks = table.breaks
-    return (breaks[1], gains[1], gains[-1],
-            () if len(breaks) <= 3 else breaks, gains)
+    return (table.breaks[1], float(cl.ahat[table.owners[1]][0, 0]),
+            float(cl.ahat[table.owners[-2]][0, 0]))
 
 
 def _float_chain(shells, rng: np.random.Generator, y: float, n_steps: int,
@@ -527,7 +525,7 @@ def _float_chain(shells, rng: np.random.Generator, y: float, n_steps: int,
     ``_FLOAT_CHUNK`` values, a chain under a stopping rule one block at
     a time.
     """
-    b, g_in, g_out, breaks, gains = shells
+    b, g_in, g_out = shells
     sqrt, stop = math.sqrt, eps_stop is not None
     r = sqrt(y * y)
     total = 0.0
@@ -536,8 +534,7 @@ def _float_chain(shells, rng: np.random.Generator, y: float, n_steps: int,
         m = min(size, n_steps - start)
         noise = rng.standard_normal(-(-m // _NOISE_BLOCK) * _NOISE_BLOCK)
         for count, w in enumerate(noise[:m].tolist(), start):
-            y = (gains[bisect_left(breaks, r)] if breaks
-                 else g_out if r > b else g_in) * y + w
+            y = (g_out if r > b else g_in) * y + w
             r = sqrt(y * y)
             if not r <= DIVERGENCE_LIMIT:       # NaN fails
                 raise DivergenceError(step_index=count + 1, norm=r)
@@ -556,27 +553,31 @@ def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     ``n_steps`` steps, in lockstep groups of at most ``_GROUP`` chains.
 
     Returns each chain's step count ``N`` and reward sum ``S_N`` over
-    ``x_1 .. x_N``.  With ``eps_stop`` a chain stops at the first ``N >=
-    1`` with ``|S_N / N - r(x_{N+1})| / (N + 1) < eps_stop``, else it runs
-    all ``n_steps``.  Chain ``i`` follows the states :func:`simulate`
-    gives on ``rngs[i]``, bit for bit.  Raises ``ValueError`` unless
-    ``1 <= n_steps <= MAX_STEPS`` (2**53), before any draw;
-    :class:`NoRegion`; and :class:`DivergenceError` on a norm that is not
-    ``<= DIVERGENCE_LIMIT``, ``x0``'s at step 0 as in :func:`simulate`,
-    else a group's earliest, the first chain's on a tie.
+    ``x_1 .. x_N``, two empty arrays for no generators.  With
+    ``eps_stop`` a chain stops at the first ``N >= 1`` with ``|S_N / N -
+    r(x_{N+1})| / (N + 1) < eps_stop``, else it runs all ``n_steps``.
+    Chain ``i`` follows the states :func:`simulate` gives on ``rngs[i]``,
+    bit for bit.  Raises ``ValueError`` unless ``1 <= n_steps <=
+    MAX_STEPS`` (2**53), before any draw; :class:`NoRegion`; and
+    :class:`DivergenceError` on a norm that is not ``<=
+    DIVERGENCE_LIMIT``, ``x0``'s at step 0 as in :func:`simulate`, else a
+    group's earliest, the first chain's on a tie.
 
     A model :func:`_float_shells` accepts (one-dimensional shells with
-    norm reward) steps each chain alone as Python floats
-    (:func:`_float_chain`); a chain after one that diverged at step ``s``
-    in its group runs at most ``s - 1`` steps.  Every other model runs
-    the group kernel :func:`_lockstep`.  Both give the same counts,
-    totals and divergence, and leave each generator after the same draws.
+    at most one break and norm reward) steps each chain alone as Python
+    floats (:func:`_float_chain`); a chain after one that diverged at
+    step ``s`` in its group runs at most ``s - 1`` steps.  Every other
+    model, one-dimensional shells with more breaks included, runs the
+    group kernel :func:`_lockstep`.  Both give the same counts, totals
+    and divergence, and leave each generator after the same draws.
     """
     if eps_stop is not None and not eps_stop > 0:
         raise ValueError("eps_stop must be positive")
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError("n_steps must lie in [1, 2**53]")
     x0 = _start_state(model, x0)
+    if not rngs:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     shells = _float_shells(cl, model, spec)
     if shells is not None:
         runs = []

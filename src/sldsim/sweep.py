@@ -27,7 +27,6 @@ import dataclasses
 import math
 import numbers
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -238,12 +237,12 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
 
     Streams the chain in chunks of ``_NOISE_CHUNK`` states whose sums are
     combined exactly, so 1e8 steps lose no precision.  On a
-    one-dimensional shell model with norm reward (the selection of
+    one-dimensional shell model with at most one break ``b`` in ``(0,
+    inf)`` and norm reward (the selection of
     :func:`~sldsim.model.lockstep`'s float case) a chunk is first
-    stepped as Python floats, gain ``Ahat_j`` on the table's piece owned
-    by region ``j``, picked by one comparison when the table has at most
-    one break in ``(0, inf)``, checking no state; a chunk whose sum is not
-    ``<= DIVERGENCE_LIMIT``, and every chunk of any other model, is
+    stepped as Python floats, with the gain ``g_out if r > b else
+    g_in``, and summed in order, checking no state; a chunk whose sum is
+    not ``<= DIVERGENCE_LIMIT``, and every chunk of any other model, is
     stepped by :func:`_path` from the chunk's start and generator state,
     which raises a divergence as :func:`simulate` raises it, at its
     absolute step.  Raises ``ValueError`` unless ``1 <= n_steps <=
@@ -254,7 +253,7 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
     x = _start_state(model, x0)
     shells = _float_shells(cl, model, spec)
     if shells is not None:
-        b, g_in, g_out, breaks, gains = shells
+        b, g_in, g_out = shells
     partials = []
     for lo in range(0, n_steps, _NOISE_CHUNK):
         hi = min(lo + _NOISE_CHUNK, n_steps)
@@ -263,8 +262,7 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
             r = abs(y)
             total = 0.0 if lo else r
             for w in rng.standard_normal(hi - max(lo, 1)).tolist():
-                y = (gains[bisect_left(breaks, r)] if breaks
-                     else g_out if r > b else g_in) * y + w
+                y = (g_out if r > b else g_in) * y + w
                 r = abs(y)
                 total += r
             if total <= DIVERGENCE_LIMIT:

@@ -87,8 +87,9 @@ class TestRequiredSamples:
         for bad in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
                 required_samples(sys.cert, 0.5, bad)
-        with pytest.raises(ValueError):
-            required_samples(sys.cert, 0.5, 0.2, x0_norm_sq=-1.0)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="x0_norm_sq"):
+                required_samples(sys.cert, 0.5, 0.2, x0_norm_sq=bad)
         for bad in (0.0, 1.5):
             with pytest.raises(ValueError):
                 required_samples(sys.cert, 0.5, 0.2, beta_op=bad)
@@ -198,8 +199,9 @@ class TestBoundTerms:
         sys = build_system(1)
         with pytest.raises(ValueError):
             bound_terms(sys.cert, n_steps=0)
-        with pytest.raises(ValueError):
-            bound_terms(sys.cert, n_steps=100, x0_norm_sq=-0.5)
+        for bad in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="x0_norm_sq"):
+                bound_terms(sys.cert, n_steps=100, x0_norm_sq=bad)
 
     def test_beta_op_outside_unit_interval_is_refused(self):
         # Both functions check a passed-in beta_op the same way: zero used

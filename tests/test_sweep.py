@@ -437,6 +437,24 @@ class TestLockstepKernel:
         censored = sum(c for _, c in want)
         assert 0 < censored < len(want)
 
+    @pytest.mark.parametrize("eps_stop", [None, 1e-3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_generators(self, n, eps_stop):
+        # Two empty arrays of a one-chain call's dtypes, on the float case
+        # (n = 1) and the kernel (n = 2), after the argument checks.
+        model, cl, spec = bench(n)
+        assert (model_mod._float_shells(cl, model, spec) is None) == (n > 1)
+        steps, totals = lockstep(cl, model, spec, [], 10, eps_stop=eps_stop)
+        one = lockstep(cl, model, spec, self.rngs(1), 10, eps_stop=eps_stop)
+        assert steps.shape == totals.shape == (0,)
+        assert (steps.dtype, totals.dtype) == (one[0].dtype, one[1].dtype)
+        with pytest.raises(ValueError):
+            lockstep(cl, model, spec, [], 0, eps_stop=eps_stop)
+        with pytest.raises(ValueError):
+            lockstep(cl, model, spec, [], 10, np.zeros(n + 1), eps_stop)
+        with pytest.raises(DivergenceError):
+            lockstep(cl, model, spec, [], 10, np.full(n, 1e200), eps_stop)
+
     def test_batch_does_not_change_a_trial(self):
         system = model, cl, spec = bench(2)
         group = model_mod._GROUP
@@ -532,33 +550,67 @@ class TestLockstepKernel:
             assert total == pytest.approx(traj.rewards[1:].sum(), rel=1e-13)
 
 
-def shell_chain(gains, cuts):
-    """A one-dimensional model of shells split at the radii ``cuts``, gain
-    ``gains[i]`` on the ``i``-th shell from the origin, with norm reward."""
-    edges = (0.0, *cuts, math.inf)
-    model = SldsModel(n=1, p=1,
-                      regions=tuple(radial_shell(lo, hi)
-                                    for lo, hi in zip(edges, edges[1:])),
+def shell_model(regions, gains, q=1.0):
+    """A one-dimensional model of the shells ``regions``, gain ``gains[i]``
+    on the ``i``-th, with reward ``sqrt(q) |x|``."""
+    model = SldsModel(n=1, p=1, regions=tuple(regions),
                       dynamics=tuple((g * np.eye(1), np.zeros((1, 1)))
                                      for g in gains))
     policy = Policy(pi=np.zeros((1, 1)))
-    spec = RewardSpec.bind(Q=np.eye(1), R=np.eye(1), policy=policy)
+    spec = RewardSpec.bind(Q=q * np.eye(1), R=np.eye(1), policy=policy)
     return model, closed_loop(model, policy), spec
+
+
+def shell_chain(gains, cuts):
+    """:func:`shell_model` of shells split at the radii ``cuts``, gain
+    ``gains[i]`` on the ``i``-th shell from the origin."""
+    edges = (0.0, *cuts, math.inf)
+    return shell_model((radial_shell(lo, hi)
+                        for lo, hi in zip(edges, edges[1:])), gains)
+
+
+def three_shells():
+    """Two breaks in ``(0, inf)``: too many for the float case."""
+    return shell_chain((1.5, 0.7, 0.95), (2.0, 6.0))
 
 
 FLOAT_MODELS = {
     "readme": lambda: bench(),
     "gains-0.9-0.5-rho-1": lambda: bench(1, 0.9, 0.5, 1.0),
     "gains-0.5-2-rho-3": lambda: bench(1, 0.5, 2.0, 3.0),
-    "three-shells": lambda: shell_chain((1.5, 0.7, 0.95), (2.0, 6.0)),
     "one-shell": lambda: one_shell(1, 0.8),
 }
 
-# Shell tables the tests build: the float models' and ones with nested,
-# overlapping and missing shells.
+# Each model and what ``_float_shells`` selects for it: ``(b, g_in,
+# g_out)``, or None for a model that leaves the float case.
+SELECTIONS = {
+    "readme": (lambda: bench(), (10.0, 2.0, 0.9)),
+    "two-shells": (lambda: shell_chain((1.5, 0.7), (2.0,)),
+                   (2.0, 1.5, 0.7)),
+    "nested": (lambda: shell_model((radial_shell(0.0, 10.0),
+                                    radial_shell(0.0)), (1.3, 0.6)),
+               (10.0, 1.3, 0.6)),
+    "outer-first": (lambda: shell_model((radial_shell(0.0),
+                                         radial_shell(0.0, 10.0)),
+                                        (0.6, 1.3)),
+                    (10.0, 0.6, 0.6)),
+    "one-shell": (lambda: one_shell(1, 0.8), (math.inf, 0.8, 0.8)),
+    "n2": (lambda: bench(2), None),
+    "polyhedral": (lambda: shadowed(bench()), None),
+    "reward": (lambda: shell_model((radial_shell(10.0),
+                                    radial_shell(0.0, 10.0)), (0.9, 2.0),
+                                   q=4.0), None),
+    "two-breaks": (three_shells, None),
+    "gap": (lambda: shell_model((radial_shell(0.0, 1.0),
+                                 radial_shell(2.0)), (0.5, 0.5)), None),
+}
+
+# Shell tables the tests build: the float models', the three-shell
+# model's and ones with nested, overlapping and missing shells.
 SHELL_TABLES = {
     **{name: (lambda make=make: make()[0].table)
-       for name, make in FLOAT_MODELS.items()},
+       for name, make in {**FLOAT_MODELS,
+                          "three-shells": three_shells}.items()},
     **{name: (lambda regions=regions: model_mod.RegionTable(regions))
        for name, regions in {
            "nested": (radial_shell(0.0, 10.0), radial_shell(0.0)),
@@ -571,10 +623,10 @@ SHELL_TABLES = {
 
 
 class TestFloatLockstep:
-    """``lockstep``'s float case, one-dimensional shell models with norm
-    reward stepped one chain at a time, against ``_lockstep``, its
-    oracle, reached by patching the selection off: the same steps,
-    totals, divergence and next draw of every generator."""
+    """``lockstep``'s float case, one-dimensional shell models with at
+    most one break and norm reward stepped one chain at a time, against
+    ``_lockstep``, its oracle, reached by patching the selection off: the
+    same steps, totals, divergence and next draw of every generator."""
 
     @staticmethod
     def run(system, k, n_steps, x0=None, eps_stop=None, seed=3):
@@ -606,8 +658,7 @@ class TestFloatLockstep:
     @pytest.mark.parametrize("name", list(FLOAT_MODELS))
     def test_equals_kernel(self, monkeypatch, name, eps_stop):
         system = model, cl, spec = FLOAT_MODELS[name]()
-        breaks = model_mod._float_shells(cl, model, spec)[3]
-        assert (breaks != ()) == (name == "three-shells")   # bisect
+        assert model_mod._float_shells(cl, model, spec) is not None
         stopped = 0
         for x0, n_steps, k in itertools.product(
                 (None, [5.0], [-40.0]), (1, 2, 16, 17, 3901), (1, 50, 129)):
@@ -624,6 +675,12 @@ class TestFloatLockstep:
         for b in model.table.breaks[1:-1]:
             for x0 in ([b], [-b]):
                 self.check(monkeypatch, system, 3, 17, x0)
+
+    @pytest.mark.parametrize("name", list(SELECTIONS))
+    def test_selection(self, name):
+        make, want = SELECTIONS[name]
+        model, cl, spec = make()
+        assert model_mod._float_shells(cl, model, spec) == want
 
     @pytest.mark.parametrize("name", list(SHELL_TABLES))
     def test_one_comparison_is_the_table_lookup(self, name):
@@ -753,27 +810,46 @@ class TestReferenceRewardAverage:
                                        np.random.default_rng(10))
 
     def test_scalar_and_generic_paths_agree(self):
-        def average(system):
+        # From the origin, and from a norm exactly at the break b = 10,
+        # which lies in (0, b] and so first takes the inner gain.
+        def average(system, x0):
             model, cl, spec = system
             return reference_reward_average(cl, model, spec, 5000,
-                                            np.random.default_rng(10))
-        assert average(shadowed(bench())) == pytest.approx(average(bench()),
-                                                           rel=1e-13)
+                                            np.random.default_rng(10), x0)
+        for x0 in (None, [10.0], [-10.0]):
+            assert average(shadowed(bench()), x0) == pytest.approx(
+                average(bench(), x0), rel=1e-13)
+
+    @staticmethod
+    def check_general_path(system, n_steps):
+        """The average of ``_path``'s chunks: the oracle's up to its
+        summation order, and the ``fsum`` of :func:`simulate`'s rewards
+        up to the chunking."""
+        model, cl, spec = system
+        got = reference_reward_average(cl, model, spec, n_steps,
+                                       np.random.default_rng(12))
+        want = reference_oracle(cl, model, spec, n_steps,
+                                np.random.default_rng(12))
+        assert got == pytest.approx(want, rel=1e-13)
+        traj = simulate(cl, model, spec, np.zeros(model.n), n_steps,
+                        np.random.default_rng(12))
+        assert got == pytest.approx(math.fsum(traj.rewards) / n_steps,
+                                    rel=1e-15)
 
     @pytest.mark.parametrize("n_steps", [1, 4096, 4097, 9000])
     def test_general_path_at_n2(self, n_steps):
         # Dense shells with a non-identity reward, and the n = 2 case
         # study, both off the scalar path.
-        for model, cl, spec in (dense_shells(2), bench(2)):
-            got = reference_reward_average(cl, model, spec, n_steps,
-                                           np.random.default_rng(12))
-            want = reference_oracle(cl, model, spec, n_steps,
-                                    np.random.default_rng(12))
-            assert got == pytest.approx(want, rel=1e-13)
-            traj = simulate(cl, model, spec, np.zeros(2), n_steps,
-                            np.random.default_rng(12))
-            assert got == pytest.approx(math.fsum(traj.rewards) / n_steps,
-                                        rel=1e-15)
+        for system in (dense_shells(2), bench(2)):
+            self.check_general_path(system, n_steps)
+
+    @pytest.mark.parametrize("n_steps", [4096, 4097, 10**5])
+    def test_general_path_with_two_breaks(self, n_steps):
+        # A one-dimensional shell model with norm reward but two breaks
+        # in (0, inf) is off the scalar path too.
+        system = model, cl, spec = three_shells()
+        assert model_mod._float_shells(cl, model, spec) is None
+        self.check_general_path(system, n_steps)
 
     def test_uncovered_shell_raises(self):
         model = SldsModel(n=1, p=1, regions=(radial_shell(0.0, 1.0),),
