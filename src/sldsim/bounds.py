@@ -108,8 +108,8 @@ def required_samples(cert: Certificate, eps: float, delta: float,
         raise ValueError("eps must be finite and positive")
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
-    if not x0_norm_sq >= 0:
-        raise ValueError("x0_norm_sq must be nonnegative")
+    if not 0 <= x0_norm_sq < math.inf:
+        raise ValueError("x0_norm_sq must be nonnegative and finite")
     beta_op = _operational_beta(cert, beta_op)
 
     n = cert.n
@@ -190,8 +190,8 @@ def bound_terms(cert: Certificate, n_steps: int,
         big_n = float(n_steps)
     except OverflowError:
         raise ValueError("n_steps exceeds the largest double") from None
-    if not x0_norm_sq >= 0:
-        raise ValueError("x0_norm_sq must be nonnegative")
+    if not 0 <= x0_norm_sq < math.inf:
+        raise ValueError("x0_norm_sq must be nonnegative and finite")
     beta_op = _operational_beta(cert, beta_op)
 
     n = float(cert.n)

@@ -119,8 +119,8 @@ def classify_regions(model: SldsModel,
     UncoveredExterior
         No region claims any point outside the ball.
     """
-    if rho_ball <= 0:
-        raise ValueError("rho_ball must be positive")
+    if not 0 < rho_ball < math.inf:
+        raise ValueError("rho_ball must be positive and finite")
     unbounded: list[int] = []
     bounded: list[int] = []
     for j, region in enumerate(model.regions):

@@ -518,12 +518,13 @@ def _float_chain(shells, rng: np.random.Generator, y: float, n_steps: int,
     accepts, stepped as Python floats from ``y``: its ``(N, S_N)`` bit for
     bit, or the same :class:`DivergenceError`.
 
-    The norm is ``sqrt(y * y)``, as :func:`_row_norms` computes it; the
-    guard and the stopping rule are ``_lockstep``'s expressions.  Like
-    ``_lockstep`` it draws whole ``_NOISE_BLOCK`` blocks through the
-    block of the last step: a fixed-length chain in chunks of
-    ``_FLOAT_CHUNK`` values, a chain under a stopping rule one block at
-    a time.
+    Like ``_lockstep`` it draws whole ``_NOISE_BLOCK`` blocks through the
+    block of the last step: one block at a time under a stopping rule,
+    else chunks of ``_FLOAT_CHUNK`` values stepped with no check, each
+    kept when its total is ``<= DIVERGENCE_LIMIT`` and no draw is below
+    ``2**-458`` in size.  Any other chunk is stepped again from its saved
+    start over its values by the checked loop: the norm ``sqrt(y * y)``
+    as :func:`_row_norms` computes it, ``_lockstep``'s guard and rule.
     """
     b, g_in, g_out = shells
     sqrt, stop = math.sqrt, eps_stop is not None
@@ -532,8 +533,22 @@ def _float_chain(shells, rng: np.random.Generator, y: float, n_steps: int,
     size = _NOISE_BLOCK if stop else _FLOAT_CHUNK
     for start in range(0, n_steps, size):
         m = min(size, n_steps - start)
-        noise = rng.standard_normal(-(-m // _NOISE_BLOCK) * _NOISE_BLOCK)
-        for count, w in enumerate(noise[:m].tolist(), start):
+        noise = rng.standard_normal(-(-m // _NOISE_BLOCK) * _NOISE_BLOCK)[:m]
+        if not stop:
+            saved = y, r, total
+            for w in noise.tolist():
+                y = (g_out if r > b else g_in) * y + w
+                r = abs(y)
+                total += r
+            # Kept, the chunk is the checked loop's: no norm exceeds the
+            # total, and with |w| >= 2**-458 each state is 0 or at least
+            # 2**-511 in size, where abs(y) == sqrt(y * y) (a nonzero g * y
+            # + w is a multiple of 2**-511 if |g * y| >= 2**-459, else at
+            # least 2**-459); a 0.0 draw after a tiny g * y would break it.
+            if total <= DIVERGENCE_LIMIT and abs(noise).min() >= 2.0**-458:
+                continue
+            y, r, total = saved
+        for count, w in enumerate(noise.tolist(), start):
             y = (g_out if r > b else g_in) * y + w
             r = sqrt(y * y)
             if not r <= DIVERGENCE_LIMIT:       # NaN fails
@@ -565,11 +580,12 @@ def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
 
     A model :func:`_float_shells` accepts (one-dimensional shells with
     at most one break and norm reward) steps each chain alone as Python
-    floats (:func:`_float_chain`); a chain after one that diverged at
-    step ``s`` in its group runs at most ``s - 1`` steps.  Every other
-    model, one-dimensional shells with more breaks included, runs the
-    group kernel :func:`_lockstep`.  Both give the same counts, totals
-    and divergence, and leave each generator after the same draws.
+    floats (:func:`_float_chain`), as the reference average does; a
+    chain after one that diverged at step ``s`` in its group runs at
+    most ``s - 1`` steps.  Every other model, one-dimensional shells
+    with more breaks included, runs the group kernel :func:`_lockstep`.
+    Both give the same counts, totals and divergence, and leave each
+    generator after the same draws.
     """
     if eps_stop is not None and not eps_stop > 0:
         raise ValueError("eps_stop must be positive")

@@ -36,7 +36,6 @@ from .config import _write_csv, read_json, sha256_of_file, write_manifest
 from .errors import ConfigError, MaxStepsExceeded, SldsimError, report_error
 from .ergodicity import certify, classify_regions
 from .model import (
-    DIVERGENCE_LIMIT,
     MAX_STEPS,
     ClosedLoop,
     Policy,
@@ -235,41 +234,26 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
                              x0: np.ndarray | None = None) -> float:
     """Mean reward over the ``n_steps`` states ``x_0 .. x_{n_steps-1}``.
 
-    Streams the chain in chunks of ``_NOISE_CHUNK`` states whose sums are
-    combined exactly, so 1e8 steps lose no precision.  On a
-    one-dimensional shell model with at most one break ``b`` in ``(0,
-    inf)`` and norm reward (the selection of
-    :func:`~sldsim.model.lockstep`'s float case) a chunk is first
-    stepped as Python floats, with the gain ``g_out if r > b else
-    g_in``, and summed in order, checking no state; a chunk whose sum is
-    not ``<= DIVERGENCE_LIMIT``, and every chunk of any other model, is
-    stepped by :func:`_path` from the chunk's start and generator state,
-    which raises a divergence as :func:`simulate` raises it, at its
-    absolute step.  Raises ``ValueError`` unless ``1 <= n_steps <=
-    MAX_STEPS`` (2**53), before any draw.
+    On a model :func:`~sldsim.model.lockstep` steps as Python floats it
+    is ``(|x_0| + S) / n_steps``, ``S`` the in-order total of that chain
+    of ``n_steps - 1`` steps on ``rng``.  Every other model streams the
+    chain through :func:`_path` in chunks of ``_NOISE_CHUNK`` states
+    whose sums are combined exactly.  A divergence is raised as
+    :func:`simulate` raises it, at its absolute step.  Raises
+    ``ValueError`` unless ``1 <= n_steps <= MAX_STEPS`` (2**53), before
+    any draw.
     """
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError("n_steps must lie in [1, 2**53]")
     x = _start_state(model, x0)
-    shells = _float_shells(cl, model, spec)
-    if shells is not None:
-        b, g_in, g_out = shells
+    if _float_shells(cl, model, spec) is not None:
+        total = 0.0
+        if n_steps > 1:
+            _, (total,) = lockstep(cl, model, spec, [rng], n_steps - 1, x)
+        return (abs(float(x[0])) + float(total)) / n_steps
     partials = []
     for lo in range(0, n_steps, _NOISE_CHUNK):
         hi = min(lo + _NOISE_CHUNK, n_steps)
-        if shells is not None:
-            state, y = rng.bit_generator.state, float(x[0])
-            r = abs(y)
-            total = 0.0 if lo else r
-            for w in rng.standard_normal(hi - max(lo, 1)).tolist():
-                y = (g_out if r > b else g_in) * y + w
-                r = abs(y)
-                total += r
-            if total <= DIVERGENCE_LIMIT:
-                x = np.array([y])
-                partials.append(total)
-                continue
-            rng.bit_generator.state = state
         # Later chunks restart from the last state, not counted again.
         t0 = lo - (lo > 0)
         states = _path(cl, model, x, hi - t0, rng, t0=t0)

@@ -87,7 +87,7 @@ class TestRequiredSamples:
         for bad in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
                 required_samples(sys.cert, 0.5, bad)
-        for bad in (-1.0, math.nan):
+        for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="x0_norm_sq"):
                 required_samples(sys.cert, 0.5, 0.2, x0_norm_sq=bad)
         for bad in (0.0, 1.5):
@@ -199,7 +199,7 @@ class TestBoundTerms:
         sys = build_system(1)
         with pytest.raises(ValueError):
             bound_terms(sys.cert, n_steps=0)
-        for bad in (-0.5, math.nan):
+        for bad in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="x0_norm_sq"):
                 bound_terms(sys.cert, n_steps=100, x0_norm_sq=bad)
 

@@ -87,6 +87,16 @@ class Undrawable:
         raise AssertionError(f"the generator was used ({name})")
 
 
+class ZeroNoise:
+    """A generator stand-in whose every normal draw is 0.0."""
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
 class TestSweepConfig:
     def test_desk_defaults(self):
         cfg = SweepConfig()
@@ -698,21 +708,21 @@ class TestFloatLockstep:
                 assert (owners[-2] if r > b else owners[1]) == \
                     owners[bisect_left(breaks, r)]
 
-    @pytest.mark.parametrize("layout", ["first-group", "early-first",
-                                        "second-group", "across-groups"])
-    def test_group_earliest_divergence(self, monkeypatch, layout):
-        # Inner gain 2, outer 1.03: every chain that the rule does not
-        # stop within a few steps diverges near step 11,600.  A group
-        # raises its earliest divergence before the next group steps.
-        system = bench(1, 1.03, 2.0, 10.0)
+    LAYOUTS = ["first-group", "early-first", "second-group", "across-groups"]
+
+    def check_group_earliest(self, monkeypatch, layout, system, n_steps,
+                             eps_stop):
+        """Runs 300 chains alone, then a group layout of two that diverge
+        and ones that finish: ``lockstep`` raises the kernel's error, the
+        earliest divergence of the first group that has one."""
         outcomes = []
         for t in range(300):
             try:
-                outcomes.append(int(self.run(system, 1, 20_000, None, 0.5,
-                                             [5, t])[0][0]))
+                outcomes.append(int(self.run(system, 1, n_steps, None,
+                                             eps_stop, [5, t])[0][0]))
             except DivergenceError as exc:
                 outcomes.append(-exc.step_index)
-        stops = [t for t, o in enumerate(outcomes) if o > 0]
+        finished = [t for t, o in enumerate(outcomes) if o > 0]
         late, early = sorted((t for t, o in enumerate(outcomes) if o < 0),
                              key=lambda t: outcomes[t])[:2]
         assert outcomes[late] < outcomes[early] < 0
@@ -720,19 +730,68 @@ class TestFloatLockstep:
         order, first = {
             "first-group": ([late, early], early),
             "early-first": ([early, late], early),
-            "second-group": (stops[:group] + [late, early], early),
-            "across-groups": ([late] + stops[:group - 1] + [early], late),
+            "second-group": (finished[:group] + [late, early], early),
+            "across-groups": ([late] + finished[:group - 1] + [early], late),
         }[layout]
 
         def report():
             model, cl, spec = system
             rngs = [np.random.default_rng([5, t]) for t in order]
             with pytest.raises(DivergenceError) as info:
-                lockstep(cl, model, spec, rngs, 20_000, eps_stop=0.5)
+                lockstep(cl, model, spec, rngs, n_steps, eps_stop=eps_stop)
             return info.value.step_index, info.value.norm
         got = report()
         assert got == self.kernel(monkeypatch, report)
         assert got[0] == -outcomes[first]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_group_earliest_divergence(self, monkeypatch, layout):
+        # Inner gain 2, outer 1.03: every chain that the rule does not
+        # stop within a few steps diverges near step 11,600.
+        self.check_group_earliest(monkeypatch, layout,
+                                  bench(1, 1.03, 2.0, 10.0), 20_000, 0.5)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_group_earliest_divergence_with_no_rule(self, monkeypatch,
+                                                    layout):
+        # Inner gain 0.5, outer 2 past 4.5: a chain diverges some 500
+        # steps after it first leaves the ball, 87 of the 300 within
+        # 5,000 steps.  Each diverging chunk fails its unchecked pass.
+        self.check_group_earliest(monkeypatch, layout,
+                                  bench(1, 2.0, 0.5, 4.5), 5_000, None)
+
+    @pytest.mark.parametrize("name", list(FLOAT_MODELS))
+    def test_run_of_several_chunks(self, monkeypatch, name):
+        # 10,000 steps with no rule: two whole unchecked chunks and part
+        # of a third.
+        self.check(monkeypatch, FLOAT_MODELS[name](), 3, 10_000, [-40.0])
+
+    def test_zero_draws_after_a_tiny_state(self, monkeypatch):
+        # With every draw exactly 0.0 the state stays 1e-310, whose norm
+        # is 0 as sqrt(y * y) but 1e-310 as abs(y): the unchecked chunk
+        # must not be kept.
+        model, cl, spec = one_shell(1, 1.0)
+
+        def run():
+            return lockstep(cl, model, spec, [ZeroNoise()], 100, [1e-310])
+        steps, totals = run()
+        want = self.kernel(monkeypatch, run)
+        assert np.array_equal(steps, want[0]) and steps[0] == 100
+        assert np.array_equal(totals, want[1]) and totals[0] == 0.0
+
+    def test_abs_is_the_norm_from_2_to_the_minus_511_to_the_guard(self):
+        # The unchecked pass takes abs(y) for sqrt(y * y); the two agree
+        # wherever y * y is a normal double, so from 2**-511 up.
+        rng = np.random.default_rng(14)
+        y = np.ldexp(rng.uniform(1.0, 2.0, 10**6),
+                     rng.integers(-511, 498, 10**6))
+        y = np.concatenate([y, [2.0**-511, math.nextafter(2.0**-511, 1.0),
+                                DIVERGENCE_LIMIT,
+                                math.nextafter(DIVERGENCE_LIMIT, 0.0)]])
+        for v in (y, -y):
+            assert np.array_equal(np.abs(v), np.sqrt(v * v))
+        for v in y[-4:]:
+            assert abs(v) == math.sqrt(v * v) == abs(-v)
 
 
 def reference_oracle(cl, model, spec, n_steps, rng):
@@ -803,11 +862,19 @@ class TestReferenceRewardAverage:
 
     @pytest.mark.parametrize("n_steps", [1, 2, 4096, 4097, 10**5])
     def test_scalar_path_equals_oracle(self, n_steps):
+        # Exactly |x_0| = 0 plus the total of lockstep's chain of N - 1
+        # steps, summed in order; the oracle sums its chunks exactly.
         model, cl, spec = bench()
         got = reference_reward_average(cl, model, spec, n_steps,
                                        np.random.default_rng(10))
-        assert got == reference_oracle(cl, model, spec, n_steps,
-                                       np.random.default_rng(10))
+        total = 0.0
+        if n_steps > 1:
+            _, (total,) = lockstep(cl, model, spec,
+                                   [np.random.default_rng(10)], n_steps - 1)
+        assert got == (0.0 + total) / n_steps
+        assert got == pytest.approx(
+            reference_oracle(cl, model, spec, n_steps,
+                             np.random.default_rng(10)), rel=1e-13)
 
     def test_scalar_and_generic_paths_agree(self):
         # From the origin, and from a norm exactly at the break b = 10,
@@ -904,7 +971,7 @@ class TestDivergenceReport:
             "stepwise": lambda rng: stepwise_path(cl, model, x0, steps, rng),
             "simulate": lambda rng: simulate(cl, model, spec, x0, steps,
                                              rng),
-            # The scalar loop at n = 1, the general path at n = 2.
+            # lockstep's float case at n = 1, the general path at n = 2.
             "reference": lambda rng: reference_reward_average(
                 cl, model, spec, steps, rng, x0=x0),
             "lockstep": lambda rng: lockstep(cl, model, spec, [rng], steps,
@@ -948,53 +1015,50 @@ class TestDivergenceReport:
         assert want[0] == 0
         np.testing.assert_equal(self.report(entry, n, x0, 100), want)
 
+    @staticmethod
+    def check_float_reference(monkeypatch, system, n_steps, seed, x0):
+        """The reference average of a chain whose running total passes the
+        guard with no state above it, so a chunk fails its unchecked pass
+        and is stepped again: ``|x_0|`` plus the kernel's total, exactly;
+        ``fsum`` of :func:`simulate`'s rewards up to summation order; and
+        the generator left where the kernel leaves it."""
+        model, cl, spec = system
+        rng, kernel_rng = (np.random.default_rng(seed),
+                           np.random.default_rng(seed))
+        got = reference_reward_average(cl, model, spec, n_steps, rng, x0=x0)
+        _, (total,) = TestFloatLockstep.kernel(
+            monkeypatch, lambda: lockstep(cl, model, spec, [kernel_rng],
+                                          n_steps - 1, x0))
+        assert total > DIVERGENCE_LIMIT
+        assert got == (abs(x0[0]) + total) / n_steps
+        traj = simulate(cl, model, spec, x0, n_steps,
+                        np.random.default_rng(seed))
+        assert got == pytest.approx(math.fsum(traj.rewards) / n_steps,
+                                    rel=1e-15)
+        assert rng.standard_normal() == kernel_rng.standard_normal()
+
     def test_scalar_reference_goes_on_past_a_large_sum(self, monkeypatch):
         # From 5e149 at gain 0.9 the first chunk sums to about 5e150 with
-        # every state below the guard: that chunk alone is stepped again,
-        # on its own noise, and the chain goes on as simulate's does.
-        model, cl, spec = bench(1, 0.9, 0.5, 1.0)
-        x0 = np.array([5e149])
-        calls = []
-
-        def path(*args, **kwargs):
-            calls.append(kwargs["t0"])
-            return model_mod._path(*args, **kwargs)
-
-        monkeypatch.setattr(sweep_mod, "_path", path)
-        rng, sim_rng = np.random.default_rng(1), np.random.default_rng(1)
-        got = reference_reward_average(cl, model, spec, 10_000, rng, x0=x0)
-        traj = simulate(cl, model, spec, x0, 10_000, sim_rng)
-        assert calls == [0]
-        assert got == pytest.approx(math.fsum(traj.rewards) / 10_000,
-                                    rel=1e-15)
-        assert rng.random() == sim_rng.random()
+        # every state below the guard: every chunk is stepped again, and
+        # the chain goes on as the kernel's and simulate's do.
+        self.check_float_reference(monkeypatch, bench(1, 0.9, 0.5, 1.0),
+                                   10_000, 1, np.array([5e149]))
 
     def test_scalar_reference_falls_through_past_the_first_chunk(
             self, monkeypatch):
         # Gain 1.03 up to 1e149 and 0.5 beyond: the chain settles near
-        # 1e149 with no state above the guard, so every chunk from
-        # t0 = 8191 sums past 1e150 and is stepped by _path.
+        # 1e149 with no state above the guard; the running total passes
+        # 1e150 in the third chunk, and every chunk from there on is
+        # stepped again.
         model = SldsModel(n=1, p=1, regions=(radial_shell(0.0, 1e149),
                                              radial_shell(1e149)),
                           dynamics=((1.03 * np.eye(1), np.zeros((1, 1))),
                                     (0.5 * np.eye(1), np.zeros((1, 1)))))
         policy = Policy(pi=np.zeros((1, 1)))
         spec = RewardSpec.bind(Q=np.eye(1), R=np.eye(1), policy=policy)
-        cl = closed_loop(model, policy)
-        calls = []
-
-        def path(*args, **kwargs):
-            calls.append(kwargs["t0"])
-            return model_mod._path(*args, **kwargs)
-
-        monkeypatch.setattr(sweep_mod, "_path", path)
-        rng, sim_rng = np.random.default_rng(0), np.random.default_rng(0)
-        got = reference_reward_average(cl, model, spec, 20_000, rng)
-        traj = simulate(cl, model, spec, np.zeros(1), 20_000, sim_rng)
-        assert calls == [8191, 12287, 16383]
-        assert got == pytest.approx(math.fsum(traj.rewards) / 20_000,
-                                    rel=1e-15)
-        assert rng.random() == sim_rng.random()
+        self.check_float_reference(
+            monkeypatch, (model, closed_loop(model, policy), spec), 20_000,
+            0, np.zeros(1))
 
 
 class TestSeeding:
