@@ -258,8 +258,14 @@ class RewardSpec:
     q: np.ndarray
     r: np.ndarray
     p_hat: np.ndarray
-    # True when p_hat is exactly the identity; enables a norm shortcut.
-    p_hat_is_identity: bool = field(default=False, compare=False)
+    # Set from p_hat: True when it is exactly the identity, which enables
+    # a norm shortcut.
+    p_hat_is_identity: bool = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p_hat_is_identity", np.ndim(self.p_hat) == 2
+                           and np.array_equal(self.p_hat,
+                                              np.eye(len(self.p_hat))))
 
     @classmethod
     def bind(cls, Q, R, policy: Policy, normalize: bool = False) -> "RewardSpec":
@@ -290,10 +296,7 @@ class RewardSpec:
             top = float(np.linalg.norm(p_hat, 2))
             if top > 1.0:
                 p_hat = p_hat / top
-        is_id = p_hat.shape[0] == p_hat.shape[1] and bool(
-            np.array_equal(p_hat, np.eye(p_hat.shape[0]))
-        )
-        return cls(q=Q, r=R, p_hat=p_hat, p_hat_is_identity=is_id)
+        return cls(q=Q, r=R, p_hat=p_hat)
 
 
 @dataclass(frozen=True)

@@ -41,17 +41,12 @@ from .model import (
     Policy,
     RewardSpec,
     SldsModel,
-    _float_shells,
-    _path,
     _start_state,
     closed_loop,
     lockstep,
     radial_shell,
-    rewards_of,
+    reward,
 )
-
-# States per exactly combined partial sum of the reference average.
-_NOISE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -184,12 +179,17 @@ def build_case_study(n: int, gamma_root: float, c_root: float,
     reward.
 
     ``gamma_root >= 1`` builds fine; it fails later at certification,
-    which owns that diagnostic."""
+    which owns that diagnostic.  An ``n`` too large for numpy to size is
+    a ``MemoryError``, as in :func:`simulate`."""
     if gamma_root <= 0:
         raise ConfigError("gamma_root must be positive")
     if c_root < 0:
         raise ConfigError("c_root must be nonnegative")
-    eye = np.eye(n)
+    try:
+        eye = np.eye(n)
+    except ValueError as exc:   # a size numpy cannot represent
+        raise MemoryError(f"cannot size the {n} x {n} identity: "
+                          f"{exc}") from exc
     b = np.zeros((n, 1))
     model = SldsModel(
         n=n, p=1,
@@ -232,34 +232,23 @@ def reference_reward_average(cl: ClosedLoop, model: SldsModel,
                              spec: RewardSpec, n_steps: int,
                              rng: np.random.Generator,
                              x0: np.ndarray | None = None) -> float:
-    """Mean reward over the ``n_steps`` states ``x_0 .. x_{n_steps-1}``.
+    """Mean reward over the ``n_steps`` states ``x_0 .. x_{n_steps-1}``:
+    ``(r(x_0) + S) / n_steps``, ``S`` the total of the one-chain
+    :func:`~sldsim.model.lockstep` of ``n_steps - 1`` steps on ``rng``.
 
-    On a model :func:`~sldsim.model.lockstep` steps as Python floats it
-    is ``(|x_0| + S) / n_steps``, ``S`` the in-order total of that chain
-    of ``n_steps - 1`` steps on ``rng``.  Every other model streams the
-    chain through :func:`_path` in chunks of ``_NOISE_CHUNK`` states
-    whose sums are combined exactly.  A divergence is raised as
-    :func:`simulate` raises it, at its absolute step.  Raises
-    ``ValueError`` unless ``1 <= n_steps <= MAX_STEPS`` (2**53), before
-    any draw.
+    ``lockstep`` alone decides how the chain steps (as Python floats on a
+    one-dimensional shell model with norm reward), so this equals the
+    mean of :func:`simulate`'s rewards up to summation order, and raises
+    its divergence and :class:`NoRegion`.  Raises ``ValueError`` unless
+    ``1 <= n_steps <= MAX_STEPS`` (2**53), before any draw.
     """
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError("n_steps must lie in [1, 2**53]")
     x = _start_state(model, x0)
-    if _float_shells(cl, model, spec) is not None:
-        total = 0.0
-        if n_steps > 1:
-            _, (total,) = lockstep(cl, model, spec, [rng], n_steps - 1, x)
-        return (abs(float(x[0])) + float(total)) / n_steps
-    partials = []
-    for lo in range(0, n_steps, _NOISE_CHUNK):
-        hi = min(lo + _NOISE_CHUNK, n_steps)
-        # Later chunks restart from the last state, not counted again.
-        t0 = lo - (lo > 0)
-        states = _path(cl, model, x, hi - t0, rng, t0=t0)
-        x = states[-1]
-        partials.append(math.fsum(rewards_of(states[lo > 0:], spec)))
-    return math.fsum(partials) / n_steps
+    total = 0.0
+    if n_steps > 1:
+        _, (total,) = lockstep(cl, model, spec, [rng], n_steps - 1, x)
+    return (reward(x, spec) + float(total)) / n_steps
 
 
 @dataclass(frozen=True)

@@ -833,6 +833,27 @@ class TestCliSweeps:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", ["run_pipeline", "sweep-cli"])
+    @pytest.mark.parametrize("kind, key", [("dimension", "dims"),
+                                           ("gamma", "gamma_dims")])
+    def test_unsizable_dimension_exits_2_with_one_line(self, kind, key,
+                                                       entry, tmp_path,
+                                                       capsys):
+        # np.eye(10**12) is too big for numpy to size; nothing is
+        # allocated, and it reads as out of memory, not a traceback.
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"sweep": {key: [10**12], "trials": 2},
+                                 "run": [kind]}))
+        out = tmp_path / "o"
+        command = {"dimension": "sweep-dim", "gamma": "sweep-gamma"}[kind]
+        rc = (run_pipeline(p, out) if entry == "run_pipeline"
+              else main([command, "--config", str(p), "--out", str(out)]))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_golden_file_matches_run_pipeline(self, tmp_path):
         # Both entry points resolve the same config and write the same
         # dimension CSVs, config and result block.

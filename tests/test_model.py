@@ -388,6 +388,16 @@ class TestReward:
         assert spec.p_hat_is_identity
         assert reward(np.array([3.0, 4.0]), spec) == 5.0
 
+    def test_identity_flag_follows_a_directly_built_p_hat(self):
+        eye = np.eye(2)
+        doubled = RewardSpec(q=eye, r=np.eye(1), p_hat=2.0 * eye)
+        assert not doubled.p_hat_is_identity
+        assert reward(np.array([3.0, 4.0]), doubled) == math.sqrt(50.0)
+        assert RewardSpec(q=eye, r=np.eye(1), p_hat=eye).p_hat_is_identity
+        with pytest.raises(TypeError):
+            RewardSpec(q=eye, r=np.eye(1), p_hat=2.0 * eye,
+                       p_hat_is_identity=True)
+
     def test_degenerate_quadratic(self):
         policy = Policy(pi=np.zeros((1, 2)))
         spec = RewardSpec.bind(Q=np.diag([4.0, 0.0]), R=np.eye(1),

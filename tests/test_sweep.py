@@ -860,9 +860,9 @@ class TestReferenceRewardAverage:
         assert stream == pytest.approx(float(np.mean(traj.rewards)),
                                        rel=1e-12)
 
-    @pytest.mark.parametrize("n_steps", [1, 2, 4096, 4097, 10**5])
+    @pytest.mark.parametrize("n_steps", [1, 2, 16, 17, 4096, 4097, 10**5])
     def test_scalar_path_equals_oracle(self, n_steps):
-        # Exactly |x_0| = 0 plus the total of lockstep's chain of N - 1
+        # Exactly r(x_0) = 0 plus the total of lockstep's chain of N - 1
         # steps, summed in order; the oracle sums its chunks exactly.
         model, cl, spec = bench()
         got = reference_reward_average(cl, model, spec, n_steps,
@@ -877,24 +877,44 @@ class TestReferenceRewardAverage:
                              np.random.default_rng(10)), rel=1e-13)
 
     def test_scalar_and_generic_paths_agree(self):
-        # From the origin, and from a norm exactly at the break b = 10,
-        # which lies in (0, b] and so first takes the inner gain.
+        # The float case and the group kernel give the same average bit
+        # for bit: from the origin, from a norm exactly at the break
+        # b = 10, which lies in (0, b] and so first takes the inner gain,
+        # and from a start whose reward underflows to 0.
         def average(system, x0):
             model, cl, spec = system
             return reference_reward_average(cl, model, spec, 5000,
                                             np.random.default_rng(10), x0)
-        for x0 in (None, [10.0], [-10.0]):
-            assert average(shadowed(bench()), x0) == pytest.approx(
-                average(bench(), x0), rel=1e-13)
+        for x0 in (None, [10.0], [-10.0], [1e-300]):
+            assert average(shadowed(bench()), x0) == average(bench(), x0)
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_start_reward_is_the_reward_of_x0(self, n_steps):
+        # sqrt(x . x) underflows to 0 at 1e-300, where |x_0| does not.
+        model, cl, spec = bench()
+        x0 = np.array([1e-300])
+        got = reference_reward_average(cl, model, spec, n_steps,
+                                       np.random.default_rng(14), x0)
+        traj = simulate(cl, model, spec, x0, n_steps,
+                        np.random.default_rng(14))
+        assert got == traj.rewards.sum() / n_steps
 
     @staticmethod
     def check_general_path(system, n_steps):
-        """The average of ``_path``'s chunks: the oracle's up to its
-        summation order, and the ``fsum`` of :func:`simulate`'s rewards
-        up to the chunking."""
+        """``(r(x_0) + S) / N`` exactly, ``S`` the total of ``lockstep``'s
+        chain of ``N - 1`` steps on the same seed, with the generator left
+        where that chain leaves it; the oracle's average up to its
+        summation order, and the ``fsum`` of :func:`simulate`'s rewards up
+        to the order of the sum."""
         model, cl, spec = system
-        got = reference_reward_average(cl, model, spec, n_steps,
-                                       np.random.default_rng(12))
+        rng, kernel_rng = (np.random.default_rng(12),
+                           np.random.default_rng(12))
+        got = reference_reward_average(cl, model, spec, n_steps, rng)
+        total = 0.0
+        if n_steps > 1:
+            _, (total,) = lockstep(cl, model, spec, [kernel_rng], n_steps - 1)
+        assert got == (reward(np.zeros(model.n), spec) + total) / n_steps
+        assert rng.standard_normal() == kernel_rng.standard_normal()
         want = reference_oracle(cl, model, spec, n_steps,
                                 np.random.default_rng(12))
         assert got == pytest.approx(want, rel=1e-13)
@@ -903,14 +923,14 @@ class TestReferenceRewardAverage:
         assert got == pytest.approx(math.fsum(traj.rewards) / n_steps,
                                     rel=1e-15)
 
-    @pytest.mark.parametrize("n_steps", [1, 4096, 4097, 9000])
+    @pytest.mark.parametrize("n_steps", [1, 16, 17, 4096, 4097, 9000])
     def test_general_path_at_n2(self, n_steps):
         # Dense shells with a non-identity reward, and the n = 2 case
         # study, both off the scalar path.
         for system in (dense_shells(2), bench(2)):
             self.check_general_path(system, n_steps)
 
-    @pytest.mark.parametrize("n_steps", [4096, 4097, 10**5])
+    @pytest.mark.parametrize("n_steps", [16, 17, 4096, 4097, 10**5])
     def test_general_path_with_two_breaks(self, n_steps):
         # A one-dimensional shell model with norm reward but two breaks
         # in (0, inf) is off the scalar path too.
@@ -971,7 +991,7 @@ class TestDivergenceReport:
             "stepwise": lambda rng: stepwise_path(cl, model, x0, steps, rng),
             "simulate": lambda rng: simulate(cl, model, spec, x0, steps,
                                              rng),
-            # lockstep's float case at n = 1, the general path at n = 2.
+            # lockstep's float case at n = 1, its group kernel at n = 2.
             "reference": lambda rng: reference_reward_average(
                 cl, model, spec, steps, rng, x0=x0),
             "lockstep": lambda rng: lockstep(cl, model, spec, [rng], steps,
@@ -1019,7 +1039,7 @@ class TestDivergenceReport:
     def check_float_reference(monkeypatch, system, n_steps, seed, x0):
         """The reference average of a chain whose running total passes the
         guard with no state above it, so a chunk fails its unchecked pass
-        and is stepped again: ``|x_0|`` plus the kernel's total, exactly;
+        and is stepped again: ``r(x_0)`` plus the kernel's total, exactly;
         ``fsum`` of :func:`simulate`'s rewards up to summation order; and
         the generator left where the kernel leaves it."""
         model, cl, spec = system
@@ -1030,7 +1050,7 @@ class TestDivergenceReport:
             monkeypatch, lambda: lockstep(cl, model, spec, [kernel_rng],
                                           n_steps - 1, x0))
         assert total > DIVERGENCE_LIMIT
-        assert got == (abs(x0[0]) + total) / n_steps
+        assert got == (reward(x0, spec) + total) / n_steps
         traj = simulate(cl, model, spec, x0, n_steps,
                         np.random.default_rng(seed))
         assert got == pytest.approx(math.fsum(traj.rewards) / n_steps,
@@ -1444,6 +1464,29 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
                 found += [f"{path.name}:{node.lineno}" for name in names
                           if name == "scipy.stats"
                           or name.startswith("scipy.stats.")]
+        assert len(list(pkg.glob("*.py"))) >= 9
+        assert found == []
+
+    def test_private_steppers_stay_in_their_modules(self):
+        # Two functions advance a chain: the float case and the group
+        # kernel are reached through lockstep alone, and the loop of
+        # simulate is shared only with the split chain.  A name counts
+        # as used when it is imported or read as an attribute.
+        owners = {"_float_shells": {"model.py"}, "_float_chain": {"model.py"},
+                  "_lockstep": {"model.py"}, "_path": {"model.py", "regen.py"}}
+        pkg = Path(__file__).resolve().parents[1] / "src" / "sldsim"
+        found = []
+        for path in sorted(pkg.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}"
+                          for name in names
+                          if name in owners and path.name not in owners[name]]
         assert len(list(pkg.glob("*.py"))) >= 9
         assert found == []
 
