@@ -37,8 +37,8 @@ _NOISE_BLOCK = 16
 # Noise values :func:`_float_chain` draws at once for a chain with no
 # stopping rule, a multiple of ``_NOISE_BLOCK``.
 _FLOAT_CHUNK = 4096
-# Rows :func:`_path` steps between checks of the newest state's norm, so
-# a diverged chain stops within this many steps of its divergence.
+# Rows :func:`_path` steps before it checks their norms, so a diverged
+# chain stops within this many steps of its divergence.
 _CHECK_ROWS = 1024
 
 _PSD_TOL = 1e-10
@@ -407,16 +407,12 @@ def _path(cl: ClosedLoop, model: SldsModel, x0: np.ndarray, n_steps: int,
           t0: int = 0) -> np.ndarray:
     """States x_0..x_{n_steps-1} of one chain from ``x0``, the loop of
     :func:`simulate`; ``t0`` is the step index of ``x0`` in divergence
-    reports.
-
-    Row ``t`` holds its noise before the step adds ``Ahat_j x_{t-1}`` to
-    it (``-0.0``, the additive identity, without noise).  The loop stops at
-    a state with no region, or at the start of a block of ``_CHECK_ROWS``
-    rows when the newest state (``x0`` first) fails the divergence guard;
-    one pass over the rows it wrote, ``x0`` included, then reports the
-    first norm above ``DIVERGENCE_LIMIT``, so a divergence before that
-    state is raised first, as a check of every state would.
-    """
+    reports.  Row ``t`` holds its noise before the step adds ``Ahat_j
+    x_{t-1}`` to it (``-0.0``, the additive identity, without noise).
+    Each block of ``_CHECK_ROWS`` rows, ``x0`` first, is stepped up to a
+    state with no region, then checked once: its first norm above
+    ``DIVERGENCE_LIMIT`` raises, else that state, as a check of every
+    state would."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x = np.asarray(x0, dtype=float)
@@ -433,29 +429,24 @@ def _path(cl: ClosedLoop, model: SldsModel, x0: np.ndarray, n_steps: int,
     else:
         rng.standard_normal(out=states[1:])
     ahat, find, none = cl.ahat, model.table.find, model.table.none
-    end = n_steps
-    # Rows past a divergence overflow; they are never returned.
+    # Rows past a divergence overflow; their block raises.
     with np.errstate(all="ignore"):
-        for lo in range(1, n_steps, _CHECK_ROWS):
-            if not math.sqrt(x.dot(x)) <= DIVERGENCE_LIMIT:     # NaN fails
-                end = lo
-                break
-            for t, row in enumerate(states[lo:lo + _CHECK_ROWS], lo):
+        for lo in range(0, n_steps, _CHECK_ROWS):
+            hi = stop = min(lo + _CHECK_ROWS, n_steps)
+            for t, row in enumerate(states[lo or 1:hi], lo or 1):
                 j = find(x)
                 if j == none:
-                    end = t
+                    stop = t
                     break
                 row += ahat[j].dot(x)
                 x = row
-            if end < n_steps:
-                break
-        norms = _row_norms(states[:end])
-        bad = np.flatnonzero(~(norms <= DIVERGENCE_LIMIT))  # NaN is bad
-    if bad.size:
-        k = int(bad[0])
-        raise DivergenceError(step_index=t0 + k, norm=float(norms[k]))
-    if end < n_steps:
-        raise NoRegion(x.copy())      # not a view that holds the path
+            norms = _row_norms(states[lo:stop])
+            if not (norms <= DIVERGENCE_LIMIT).all():       # NaN fails
+                k = int(np.argmin(norms <= DIVERGENCE_LIMIT))
+                raise DivergenceError(step_index=t0 + lo + k,
+                                      norm=float(norms[k]))
+            if stop < hi:
+                raise NoRegion(x.copy())    # not a view that holds the path
     return states
 
 

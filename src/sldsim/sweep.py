@@ -94,6 +94,10 @@ class SweepConfig:
         if not (self.gammas
                 and all(_is_finite(g) and g > 0 for g in self.gammas)):
             raise ConfigError("gammas must be positive and finite")
+        keys = sorted(zip(map(_gain_key, self.gammas), self.gammas))
+        for (key, a), (other, b) in zip(keys, keys[1:]):
+            if key == other:
+                raise ConfigError(f"gammas {a!r} and {b!r} share a stream key")
         for name, value in (("gamma_root", self.gamma_root),
                             ("rho_ball", self.rho_ball),
                             ("eps_stop", self.eps_stop)):
@@ -123,6 +127,10 @@ def _is_int(value) -> bool:
 def _is_finite(value) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _gain_key(gamma: float) -> int:
+    return round(gamma * 1e6) if gamma * 1e6 < math.inf else int(gamma) * 10**6
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SweepConfig)}
@@ -303,7 +311,7 @@ def trial_seed_sequence(master_seed: int, tag: int, n: int, gamma: float,
     """Per-trial seed derived from grid values, not grid positions, so
     changing the grid shape never reshuffles existing cells."""
     return np.random.SeedSequence(
-        master_seed, spawn_key=(tag, n, round(gamma * 1e6), trial))
+        master_seed, spawn_key=(tag, n, _gain_key(gamma), trial))
 
 
 def _run_cell(cfg: SweepConfig, tag: int, n: int, gamma: float,

@@ -812,6 +812,8 @@ class TestCliSweeps:
         pytest.param({"master_seed": -1}, id="master_seed-negative"),
         pytest.param({"max_steps": 2**70}, id="max_steps-2-to-70"),
         pytest.param({"rho_ball": 1e160}, id="rho_ball-1e160"),
+        pytest.param({"gammas": [0.5, 0.5]}, id="gammas-repeated"),
+        pytest.param({"gammas": [0.5, 0.5000004]}, id="gammas-one-key"),
     ])
     @pytest.mark.parametrize("entry", ["run_pipeline", "sweep-dim",
                                        "sweep-gamma"])

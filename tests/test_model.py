@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from sldsim import (
     spectral_norm,
 )
 
-from sldsim.model import _path, _row_norms
+from sldsim import regen
+from sldsim.model import _CHECK_ROWS, DIVERGENCE_LIMIT, _path, _row_norms
+from sldsim.regen import Minorization, simulate_regenerative
 
 from conftest import (CASE_RHO, build_system, dense_shells, poly4,
                       region_contains, stepwise_path)
@@ -45,13 +48,14 @@ def case_system(n):
 
 
 def gained_system(regions, gains):
-    """2-D ``regions`` with zero input; region ``j`` steps by the matrix
-    ``gains[j]``."""
-    model = SldsModel(n=2, p=1, regions=tuple(regions),
+    """``regions`` with zero input; region ``j`` steps by the matrix
+    ``gains[j]``, whose size is the dimension."""
+    n = len(gains[0])
+    model = SldsModel(n=n, p=1, regions=tuple(regions),
                       dynamics=tuple((np.asarray(g, dtype=float),
-                                      np.zeros((2, 1))) for g in gains))
-    policy = Policy(pi=np.zeros((1, 2)))
-    spec = RewardSpec.bind(Q=np.eye(2), R=np.eye(1), policy=policy)
+                                      np.zeros((n, 1))) for g in gains))
+    policy = Policy(pi=np.zeros((1, n)))
+    spec = RewardSpec.bind(Q=np.eye(n), R=np.eye(1), policy=policy)
     return model, closed_loop(model, policy), spec
 
 
@@ -610,6 +614,175 @@ class TestSimulate:
                      np.random.default_rng(0), zero_noise=True)
         assert info.value.step_index > 0
         assert info.value.norm > 1e150
+
+
+@np.errstate(all="ignore")
+def two_phase_path(cl, model, x0, n_steps, rng, zero_noise=False, t0=0):
+    """The oracle of ``_path``, with its signature: the loop that checked
+    the newest state before each block of ``_CHECK_ROWS`` rows, then the
+    norms of every row it wrote in one pass after the loop."""
+    x = np.asarray(x0, dtype=float)
+    states = np.empty((n_steps, model.n))
+    states[0] = x
+    if zero_noise:
+        states[1:] = -0.0
+    else:
+        rng.standard_normal(out=states[1:])
+    find, none = model.table.find, model.table.none
+    end = n_steps
+    for lo in range(1, n_steps, _CHECK_ROWS):
+        if not math.sqrt(x.dot(x)) <= DIVERGENCE_LIMIT:
+            end = lo
+            break
+        for t, row in enumerate(states[lo:lo + _CHECK_ROWS], lo):
+            j = find(x)
+            if j == none:
+                end = t
+                break
+            row += cl.ahat[j].dot(x)
+            x = row
+        if end < n_steps:
+            break
+    norms = _row_norms(states[:end])
+    bad = np.flatnonzero(~(norms <= DIVERGENCE_LIMIT))
+    if bad.size:
+        k = int(bad[0])
+        raise DivergenceError(step_index=t0 + k, norm=float(norms[k]))
+    if end < n_steps:
+        raise NoRegion(x.copy())
+    return states
+
+
+def shell_chain(*pieces):
+    """A 1-D chain on radial shells, one ``(r_lo, r_hi, gain)`` each;
+    beyond the last ``r_hi`` no region holds the state."""
+    return gained_system([radial_shell(lo, hi) for lo, hi, _ in pieces],
+                         [[[g]] for _, _, g in pieces])
+
+
+def diverging_at(k):
+    """One shell of gain ``g`` from ``x0 = 1e6``: ``g^(k - 1/2) x0`` is
+    the guard, so row ``k`` is the first above it, noise or none."""
+    return shell_chain((0.0, math.inf, (DIVERGENCE_LIMIT / 1e6)
+                        ** (1 / (k - 0.5))))
+
+
+def path_outcome(path, make, x0, n_steps, zero_noise=False, t0=0):
+    """How ``path`` ended on a fresh ``make()`` and ``default_rng(1)``: its
+    states, error values or state with no region, as exact bytes, then
+    the generator's next draw."""
+    model, cl, _ = make()
+    rng = np.random.default_rng(1)
+    try:
+        got = ("completed", path(cl, model, np.array(x0, dtype=float),
+                                 n_steps, rng, zero_noise, t0).tobytes())
+    except DivergenceError as exc:
+        got = ("diverged", exc.step_index, float(exc.norm).hex())
+    except NoRegion as exc:
+        got = ("no region", exc.x.tobytes())
+    return got + (rng.standard_normal(),)
+
+
+class TestPathOracle:
+    """``_path`` checks each block once, after writing it; every outcome
+    equals the two-phase loop's bit for bit."""
+
+    def check(self, make, x0, n_steps, zero_noise=False, t0=0):
+        got = path_outcome(_path, make, x0, n_steps, zero_noise, t0)
+        assert got == path_outcome(two_phase_path, make, x0, n_steps,
+                                   zero_noise, t0)
+        return got
+
+    @pytest.mark.parametrize("make", [poly4, lambda: case_system(2)],
+                             ids=["poly4", "shells"])
+    @pytest.mark.parametrize("x0", [[1e151, 0.0], [1e300, 1e300]])
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_start_above_the_guard(self, make, x0, n_steps):
+        assert self.check(make, x0, n_steps, t0=7)[:2] == ("diverged", 7)
+
+    @pytest.mark.parametrize("k", [1, 1023, 1024, 1025, 2048])
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    def test_divergence_at_block_edges(self, k, zero_noise):
+        got = self.check(lambda: diverging_at(k), [1e6], 3000, zero_noise)
+        assert got[:2] == ("diverged", k)
+
+    @pytest.mark.parametrize("n_steps", [3, 2000])
+    def test_excursion_back_below_the_guard(self, n_steps):
+        # Row 1 is 1e151 and row 2 back at 1e149: the last row written
+        # can pass while an earlier one fails.
+        def make():
+            return shell_chain((0.0, 1e150, 100.0), (1e150, math.inf, 0.01))
+
+        assert self.check(make, [1e149], n_steps)[:2] == ("diverged", 1)
+
+    @pytest.mark.parametrize("gain, limit, x0, want", [
+        (1.5, 1e10, 1.0, ("no region",)),
+        # Above the guard at row 150, outside the shell at row 153.
+        (10.0, 1e153, 1.0, ("diverged", 150)),
+        # Above the guard at row 462, outside the shell at row 1,847.
+        (1.005, 1e153, 1e149, ("diverged", 462)),
+    ], ids=["alone", "same-block", "earlier-block"])
+    def test_no_region(self, gain, limit, x0, want):
+        got = self.check(lambda: shell_chain((0.0, limit, gain)), [x0], 3000)
+        assert got[:len(want)] == want
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 2000])
+    def test_nan_start(self, n_steps):
+        got = self.check(poly4, [math.nan, 0.0], n_steps)
+        assert got[:3] == ("diverged", 0, "nan")
+
+    def test_nan_state_after_an_overflow(self):
+        # Row 1 overflows to inf and row 2 is NaN (inf times 0), which
+        # has no region; the divergence at row 1 is reported.
+        def make():
+            return gained_system([radial_shell(0.0)], [1e308 * np.eye(2)])
+
+        got = self.check(make, [10.0, 10.0], 2000)
+        assert got[:3] == ("diverged", 1, "inf")
+
+    @pytest.mark.parametrize("make", [
+        poly4, lambda: case_system(1), lambda: dense_shells(3)],
+        ids=["poly4", "readme", "dense-shells"])
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    def test_completed_paths(self, make, zero_noise):
+        x0 = np.resize([3.0, -2.0, 1.0], make()[0].n)
+        assert self.check(make, x0, 5000, zero_noise, t0=3)[0] == "completed"
+
+    def test_extension_chunk_start(self, monkeypatch):
+        # Zero dynamics inside radius 2.5 and gain 2 outside: the chain
+        # regenerates, then overflows past a horizon of 300, in an
+        # extension chunk whose t0 is at least 300.
+        model, cl, _ = gained_system(
+            [radial_shell(0.0, 2.5), radial_shell(2.5)], [[[0.0]], [[2.0]]])
+        minor = Minorization(n=1, s_radius=0.5, log_beta=math.log(0.3))
+        reports = []
+        for path in (_path, two_phase_path):
+            monkeypatch.setattr(regen, "_path", path)
+            rng = np.random.default_rng(30)
+            with pytest.raises(DivergenceError) as info:
+                simulate_regenerative(cl, model, minor, 300, rng,
+                                      x0=np.array([0.0]))
+            reports.append((info.value.step_index, info.value.norm,
+                            rng.standard_normal()))
+        assert reports[0] == reports[1] and reports[0][0] > 300
+
+    @pytest.mark.parametrize("make", [poly4, lambda: case_system(1)],
+                             ids=["poly4", "readme"])
+    def test_memory_beyond_the_states(self, make):
+        # Each block's norms are its own: 200,000 states allocate at most
+        # 64 KiB beyond their array, where one pass over the whole path
+        # would take two path-length arrays.
+        model, cl, _ = make()
+        x0 = np.zeros(model.n)
+        _path(cl, model, x0, 5000, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            states = _path(cl, model, x0, 200_000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base - states.nbytes <= 64 * 1024
 
 
 class TestModelValidation:

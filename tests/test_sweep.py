@@ -147,6 +147,25 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(**fields)
 
+    @pytest.mark.parametrize("gammas, pair", [
+        ((0.5, 0.5), "0.5 and 0.5"),
+        ((0.5, 0.5000004), "0.5 and 0.5000004"),
+        ((0.7, 0.5, 0.6, 0.7000001), "0.7 and 0.7000001"),
+        ((1e303, 1e303), "1e+303 and 1e+303"),
+    ])
+    def test_gains_sharing_a_stream_key(self, gammas, pair):
+        # trial_seed_sequence keys a gain by gamma * 1e6 rounded, so two
+        # such cells would run on the same streams.
+        with pytest.raises(ConfigError) as info:
+            SweepConfig(gammas=gammas)
+        assert str(info.value) == f"gammas {pair} share a stream key"
+
+    def test_gains_with_their_own_stream_keys(self):
+        assert SweepConfig(gammas=(0.5, 0.5000006)).gammas == (0.5, 0.5000006)
+        # Past about 1.8e302 gamma * 1e6 is inf; the key is exact there,
+        # so the config is refused at certification, not here.
+        assert SweepConfig(gammas=(0.5, 1e303, 2e303)).gammas[1] == 1e303
+
     def test_expanding_gains_are_configurable(self):
         # Certification owns the failure diagnostic, not the config.
         assert SweepConfig(gamma_root=1.2).gamma_root == 1.2
@@ -1087,6 +1106,18 @@ class TestSeeding:
         assert ss.entropy == 0
         assert ss.spawn_key == (2, 10, 550000, 3)
 
+    def test_gain_keys_are_gamma_times_1e6_rounded(self):
+        # No stream moves: where gamma * 1e6 is finite the key is that
+        # product rounded; past it the exact product.
+        gains = [*SweepConfig().gammas, 1e-9, 0.5000005, 1.5, 1e302,
+                 *np.random.default_rng(0).uniform(0.0, 2.0, 1000)]
+        for gamma in gains:
+            ss = trial_seed_sequence(0, 2, 10, float(gamma), 0)
+            assert ss.spawn_key[2] == round(gamma * 1e6)
+        for gamma in (1.8e302, 1e303, 1.7e308):
+            ss = trial_seed_sequence(0, 2, 10, gamma, 0)
+            assert ss.spawn_key[2] == int(gamma) * 10**6
+
     def test_gamma_rounding_absorbs_float_noise(self):
         a = trial_seed_sequence(0, 2, 10, 0.55, 0)
         b = trial_seed_sequence(0, 2, 10, 0.55 + 1e-12, 0)
@@ -1398,6 +1429,12 @@ class TestRunPipeline:
                                     "gamma_dims": [1], "trials": 1})
         assert run_pipeline(cfg, tmp_path / "out") == 3
         assert not (tmp_path / "out").exists()
+
+    def test_gain_past_the_key_overflow_exits_3(self, tmp_path):
+        # 1e303 * 1e6 overflows; the gain reaches certification.
+        cfg = self.write(tmp_path, {"dims": [1], "gammas": [0.5, 1e303],
+                                    "gamma_dims": [1], "trials": 1})
+        assert run_pipeline(cfg, tmp_path / "out") == 3
 
     def test_io_failures_exit_4(self, tmp_path):
         cfg = self.write(tmp_path, self.GOOD)
