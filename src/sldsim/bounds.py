@@ -180,7 +180,8 @@ def bound_terms(cert: Certificate, n_steps: int,
     """Evaluate every displayed term of the tail bound at ``n_steps``.
 
     A term whose power of ``n_steps`` overflows a double reads 0.0; an
-    ``n_steps`` past the largest double raises ``ValueError``.
+    ``n_steps`` past the largest double or a term that overflows (as
+    ``rho**4`` does above 1.2e77) raises ``ValueError``.
     """
     if consts is None:
         consts = BoundConstants()
@@ -198,6 +199,7 @@ def bound_terms(cert: Certificate, n_steps: int,
     gamma = cert.gamma
     c = cert.c
     rho_sq = cert.rho_ball * cert.rho_ball
+    c_sq, rho_4 = _power(c, 2), _power(rho_sq, 2)
     one_m = 1.0 - gamma
     big_n_sq, big_n_cube = _power(big_n, 2), _power(big_n, 3)
 
@@ -212,12 +214,12 @@ def bound_terms(cert: Certificate, n_steps: int,
                   * (3.0 * n + c * rho_sq + gamma * one_m * x0_norm_sq)
                   / one_m)
     term_sigma2_c0 = (consts.c_2as0
-                      * (4.5 * n + c**2 * rho_sq**2 + 3.0 * c * rho_sq)
+                      * (4.5 * n + c_sq * rho_4 + 3.0 * c * rho_sq)
                       / (big_n_sq * one_m))
     term_sigma2_c0_sq = (consts.c_2as20
-                         * (6.75 * n + 0.75 * c**2 * rho_sq
-                            + 6.75 * c * rho_sq + 0.25 * c**3 * rho_sq**2
-                            + 1.5 * c**2 * rho_sq**2)
+                         * (6.75 * n + 0.75 * c_sq * rho_sq
+                            + 6.75 * c * rho_sq + 0.25 * _power(c, 3) * rho_4
+                            + 1.5 * c_sq * rho_4)
                          / (one_m * big_n_cube))
 
     lead_num = (4.0 * (1.0 + math.sqrt(gamma) * math.sqrt(one_m)
@@ -230,17 +232,17 @@ def bound_terms(cert: Certificate, n_steps: int,
     total_op = (term_leading_op + term_cross + term_c1_sq
                 + term_sigma2_c0 + term_sigma2_c0_sq)
 
-    return BoundReport(n_steps=n_steps,
-                       pi_vhat_bound=pi_vhat,
-                       rbar_vhat_norm_sq_bound=rbar_sq,
-                       e_x_vhat_bound=e_x_vhat,
-                       term_cross=term_cross,
-                       term_c1_sq=term_c1_sq,
-                       term_sigma2_c0=term_sigma2_c0,
-                       term_sigma2_c0_sq=term_sigma2_c0_sq,
-                       term_leading_operational=term_leading_op,
-                       log_term_leading_certified=log_term_leading_certified,
-                       total_operational=total_op)
+    terms = dict(pi_vhat_bound=pi_vhat, rbar_vhat_norm_sq_bound=rbar_sq,
+                 e_x_vhat_bound=e_x_vhat, term_cross=term_cross,
+                 term_c1_sq=term_c1_sq, term_sigma2_c0=term_sigma2_c0,
+                 term_sigma2_c0_sq=term_sigma2_c0_sq,
+                 term_leading_operational=term_leading_op,
+                 log_term_leading_certified=log_term_leading_certified,
+                 total_operational=total_op)
+    for name, value in terms.items():
+        if not math.isfinite(value):    # inf, or NaN from inf / inf
+            raise ValueError(f"the bound term {name} overflows a double")
+    return BoundReport(n_steps=n_steps, **terms)
 
 
 @dataclass(frozen=True)

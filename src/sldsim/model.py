@@ -34,8 +34,8 @@ MAX_STEPS = 2**53
 _GROUP = 128
 # Noise rows each chain draws per refill of that buffer.
 _NOISE_BLOCK = 16
-# Noise values :func:`_float_chain` draws at once for a chain with no
-# stopping rule, a multiple of ``_NOISE_BLOCK``.
+# Noise values :func:`_float_chain` draws at once, a multiple of
+# ``_NOISE_BLOCK``.
 _FLOAT_CHUNK = 4096
 # Rows :func:`_path` steps before it checks their norms, so a diverged
 # chain stops within this many steps of its divergence.
@@ -506,52 +506,47 @@ def _float_shells(cl: ClosedLoop, model: SldsModel, spec: RewardSpec):
             float(cl.ahat[table.owners[-2]][0, 0]))
 
 
-def _float_chain(shells, rng: np.random.Generator, y: float, n_steps: int,
-                 eps_stop: float | None) -> tuple[int, float]:
-    """One chain of :func:`_lockstep` on a model :func:`_float_shells`
-    accepts, stepped as Python floats from ``y``: its ``(N, S_N)`` bit for
-    bit, or the same :class:`DivergenceError`.
+def _float_chain(shells, rng: np.random.Generator, y: float,
+                 n_steps: int) -> float:
+    """The total ``S_N`` of one chain of :func:`_lockstep` with no rule
+    on a model :func:`_float_shells` accepts, stepped ``n_steps`` times as
+    Python floats from ``y``: bit for bit, or the same
+    :class:`DivergenceError`.
 
     Like ``_lockstep`` it draws whole ``_NOISE_BLOCK`` blocks through the
-    block of the last step: one block at a time under a stopping rule,
-    else chunks of ``_FLOAT_CHUNK`` values stepped with no check, each
-    kept when its total is ``<= DIVERGENCE_LIMIT`` and no draw is below
-    ``2**-458`` in size.  Any other chunk is stepped again from its saved
-    start over its values by the checked loop: the norm ``sqrt(y * y)``
-    as :func:`_row_norms` computes it, ``_lockstep``'s guard and rule.
+    block of the last step, in chunks of ``_FLOAT_CHUNK`` values stepped
+    with no check, each kept when its total is ``<= DIVERGENCE_LIMIT``
+    and no draw is below ``2**-458`` in size.  Any other chunk is stepped
+    again from its saved start over its values by the checked loop: the
+    norm ``sqrt(y * y)`` as :func:`_row_norms` computes it, and
+    ``_lockstep``'s guard.
     """
     b, g_in, g_out = shells
-    sqrt, stop = math.sqrt, eps_stop is not None
-    r = sqrt(y * y)
+    r = math.sqrt(y * y)
     total = 0.0
-    size = _NOISE_BLOCK if stop else _FLOAT_CHUNK
-    for start in range(0, n_steps, size):
-        m = min(size, n_steps - start)
+    for start in range(0, n_steps, _FLOAT_CHUNK):
+        m = min(_FLOAT_CHUNK, n_steps - start)
         noise = rng.standard_normal(-(-m // _NOISE_BLOCK) * _NOISE_BLOCK)[:m]
-        if not stop:
-            saved = y, r, total
-            for w in noise.tolist():
-                y = (g_out if r > b else g_in) * y + w
-                r = abs(y)
-                total += r
-            # Kept, the chunk is the checked loop's: no norm exceeds the
-            # total, and with |w| >= 2**-458 each state is 0 or at least
-            # 2**-511 in size, where abs(y) == sqrt(y * y) (a nonzero g * y
-            # + w is a multiple of 2**-511 if |g * y| >= 2**-459, else at
-            # least 2**-459); a 0.0 draw after a tiny g * y would break it.
-            if total <= DIVERGENCE_LIMIT and abs(noise).min() >= 2.0**-458:
-                continue
-            y, r, total = saved
-        for count, w in enumerate(noise.tolist(), start):
+        saved = y, r, total
+        for w in noise.tolist():
             y = (g_out if r > b else g_in) * y + w
-            r = sqrt(y * y)
-            if not r <= DIVERGENCE_LIMIT:       # NaN fails
-                raise DivergenceError(step_index=count + 1, norm=r)
-            if (stop and count
-                    and abs(total / count - r) / (count + 1) < eps_stop):
-                return count, total
+            r = abs(y)
             total += r
-    return n_steps, total
+        # Kept, the chunk is the checked loop's: no norm exceeds the
+        # total, and with |w| >= 2**-458 each state is 0 or at least
+        # 2**-511 in size, where abs(y) == sqrt(y * y) (a nonzero g * y
+        # + w is a multiple of 2**-511 if |g * y| >= 2**-459, else at
+        # least 2**-459); a 0.0 draw after a tiny g * y would break it.
+        if total <= DIVERGENCE_LIMIT and abs(noise).min() >= 2.0**-458:
+            continue
+        y, r, total = saved
+        for count, w in enumerate(noise.tolist(), start + 1):
+            y = (g_out if r > b else g_in) * y + w
+            r = math.sqrt(y * y)
+            if not r <= DIVERGENCE_LIMIT:       # NaN fails
+                raise DivergenceError(step_index=count, norm=r)
+            total += r
+    return total
 
 
 def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
@@ -572,14 +567,13 @@ def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     DIVERGENCE_LIMIT``, ``x0``'s at step 0 as in :func:`simulate`, else a
     group's earliest, the first chain's on a tie.
 
-    A model :func:`_float_shells` accepts (one-dimensional shells with
-    at most one break and norm reward) steps each chain alone as Python
-    floats (:func:`_float_chain`), as the reference average does; a
+    With no ``eps_stop``, a model :func:`_float_shells` accepts
+    (one-dimensional shells with at most one break and norm reward)
+    steps each chain alone as Python floats (:func:`_float_chain`); a
     chain after one that diverged at step ``s`` in its group runs at
-    most ``s - 1`` steps.  Every other model, one-dimensional shells
-    with more breaks included, runs the group kernel :func:`_lockstep`.
-    Both give the same counts, totals and divergence, and leave each
-    generator after the same draws.
+    most ``s - 1`` steps.  A stopping rule or any other model runs the
+    group kernel :func:`_lockstep`.  Both give the same totals and
+    divergence, and leave each generator after the same draws.
     """
     if eps_stop is not None and not eps_stop > 0:
         raise ValueError("eps_stop must be positive")
@@ -588,21 +582,20 @@ def lockstep(cl: ClosedLoop, model: SldsModel, spec: RewardSpec,
     x0 = _start_state(model, x0)
     if not rngs:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    shells = _float_shells(cl, model, spec)
+    shells = _float_shells(cl, model, spec) if eps_stop is None else None
     if shells is not None:
-        runs = []
+        totals = []
         for lo in range(0, len(rngs), _GROUP):
             fail = None     # the group's earliest divergence so far
             for rng in rngs[lo:lo + _GROUP]:
                 cap = n_steps if fail is None else fail.step_index - 1
                 try:
-                    runs.append(_float_chain(shells, rng, float(x0[0]), cap,
-                                             eps_stop))
+                    totals.append(_float_chain(shells, rng, float(x0[0]), cap))
                 except DivergenceError as exc:
                     fail = exc
             if fail is not None:
                 raise fail
-        return tuple(map(np.array, zip(*runs)))
+        return np.full(len(rngs), n_steps), np.array(totals)
     gains = _scalar_gains(cl)
     groups = [_lockstep(cl, model, spec, rngs[lo:lo + _GROUP], n_steps, x0,
                         eps_stop, gains)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,8 +126,10 @@ def _is_int(value) -> bool:
 
 
 def _is_finite(value) -> bool:
+    # Compared exactly, an integer past the largest double fails (where
+    # math.isfinite raises OverflowError), as do NaN and inf.
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 def _gain_key(gamma: float) -> int:
@@ -224,10 +227,8 @@ def pseudo_sample_complexity(cl: ClosedLoop, model: SldsModel,
     probability about ``2 * eps_stop * f * k``, ``f`` the reward density
     at its mean, so ``E N ~ 0.5 * sqrt(pi / (eps_stop * f))``.
 
-    This is the one-chain case of :func:`~sldsim.model.lockstep`, so a
-    trial gives the same N here as inside its sweep cell; on a
-    one-dimensional shell model with norm reward that chain steps as
-    Python floats.
+    This is the one-chain case of :func:`~sldsim.model.lockstep`'s group
+    kernel, so a trial gives the same N here as inside its sweep cell.
     """
     (n_pseudo,), _ = lockstep(cl, model, spec, [rng], max_steps, x0,
                               eps_stop)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -202,6 +203,19 @@ class TestBoundTerms:
         for bad in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="x0_norm_sq"):
                 bound_terms(sys.cert, n_steps=100, x0_norm_sq=bad)
+
+    def test_term_past_the_double_range_is_refused(self):
+        # rho**4 overflows above rho = 1.2e77: the variance terms are
+        # inf, or inf / inf once N**2 overflows too, never a NaN.
+        cert = dataclasses.replace(build_system(1).cert, rho_ball=1e80)
+        for n_steps in (100, 10**200):
+            with pytest.raises(ValueError, match="term_sigma2_c0 overflows"):
+                bound_terms(cert, n_steps, beta_op=BETA_OP)
+        # At rho = 1e70 only the powers of N overflow: those terms read 0.
+        cert = dataclasses.replace(cert, rho_ball=1e70)
+        rep = bound_terms(cert, 10**200, beta_op=BETA_OP)
+        assert rep.term_sigma2_c0 == rep.term_sigma2_c0_sq == 0.0
+        assert 0 < rep.term_cross < math.inf
 
     def test_beta_op_outside_unit_interval_is_refused(self):
         # Both functions check a passed-in beta_op the same way: zero used

@@ -687,6 +687,8 @@ class TestCliBoundary:
     # rho at 1e160 (and inner gain 2), rho^2 overflows a double.
     README = {"c_root": 0.5}
     HUGE_RHO = {"c_root": 2.0, "rho": 1e160}
+    # Certified at rho 1e80, but rho^4 in the bound's terms overflows.
+    BIG_RHO = {"c_root": 2.0, "rho": 1e80}
     # K = 4e300 is finite, but 1 - gamma is 1.1e-16: r_hat overflows.
     NEAR_ONE = {"gamma_root": 0.99999999999999994, "c_root": 2.0,
                 "rho": 1e150}
@@ -710,12 +712,13 @@ class TestCliBoundary:
         (["certify"], 2, NEAR_ONE),
         (["bound"], 2, HUGE_RHO),
         (["estimate"], 2, HUGE_RHO),
+        (["bound"], 2, BIG_RHO),
     ], ids=["bound-x0-1e300", "bound-eps-1e-100", "bound-n-1e110",
             "bound-x0-1e308", "bound-eps-1e-200", "bound-n-1e400",
             "simulate-n-1e14", "estimate-n-1e14", "simulate-n-2e18",
             "estimate-n-1e20", "estimate-radius-1e308", "simulate-x0-1e308",
             "certify-rho-1e160", "certify-r-hat-overflow",
-            "bound-rho-1e160", "estimate-rho-1e160"])
+            "bound-rho-1e160", "estimate-rho-1e160", "bound-rho-1e80"])
     def test_extreme_flag_values(self, argv, code, model, tmp_path, capsys):
         cfg = make_config(tmp_path, **model)
         out = tmp_path / "o"
@@ -814,6 +817,10 @@ class TestCliSweeps:
         pytest.param({"rho_ball": 1e160}, id="rho_ball-1e160"),
         pytest.param({"gammas": [0.5, 0.5]}, id="gammas-repeated"),
         pytest.param({"gammas": [0.5, 0.5000004]}, id="gammas-one-key"),
+        # Integers that no double holds.
+        pytest.param({"rho_ball": 10**400}, id="rho_ball-10-to-400"),
+        pytest.param({"gammas": [0.5, 10**400]}, id="gammas-10-to-400"),
+        pytest.param({"eps_stop": 10**400}, id="eps_stop-10-to-400"),
     ])
     @pytest.mark.parametrize("entry", ["run_pipeline", "sweep-dim",
                                        "sweep-gamma"])

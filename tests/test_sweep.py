@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
@@ -240,9 +241,7 @@ class TestPseudoSampleComplexity:
 
     def test_scalar_and_generic_paths_agree(self, monkeypatch):
         # The case study's matrices are g * I: the kernel scales rows by
-        # g unless its detection is disabled, forcing the dense products;
-        # at n = 1 the chain steps as Python floats unless that selection
-        # is disabled too.
+        # g unless its detection is disabled, forcing the dense products.
         systems = [bench(n) for n in (1, 10)]
         assert all(model_mod._scalar_gains(cl) is not None
                    for _, cl, _ in systems)
@@ -252,8 +251,6 @@ class TestPseudoSampleComplexity:
                                              np.random.default_rng(4), 10**6)
                     for model, cl, spec in systems]
         fast = stopping_times()
-        monkeypatch.setattr(model_mod, "_float_shells", lambda *args: None)
-        assert stopping_times() == fast
         monkeypatch.setattr(model_mod, "_scalar_gains", lambda cl: None)
         assert stopping_times() == fast
 
@@ -453,8 +450,8 @@ class TestLockstepKernel:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_case_study(self, n):
-        # g * I matrices: the kernel scales rows; n = 1 is the oracle's
-        # scalar loop.
+        # g * I matrices: the kernel scales rows, at n = 1 too under a
+        # rule; n = 1 is the oracle's scalar loop.
         self.check(bench(n), 1e-3, 10**5, 100)
 
     def test_given_start_state(self):
@@ -470,7 +467,7 @@ class TestLockstepKernel:
     @pytest.mark.parametrize("n", [1, 2])
     def test_no_generators(self, n, eps_stop):
         # Two empty arrays of a one-chain call's dtypes, on the float case
-        # (n = 1) and the kernel (n = 2), after the argument checks.
+        # (n = 1, no rule) and the kernel, after the argument checks.
         model, cl, spec = bench(n)
         assert (model_mod._float_shells(cl, model, spec) is None) == (n > 1)
         steps, totals = lockstep(cl, model, spec, [], 10, eps_stop=eps_stop)
@@ -652,10 +649,11 @@ SHELL_TABLES = {
 
 
 class TestFloatLockstep:
-    """``lockstep``'s float case, one-dimensional shell models with at
-    most one break and norm reward stepped one chain at a time, against
-    ``_lockstep``, its oracle, reached by patching the selection off: the
-    same steps, totals, divergence and next draw of every generator."""
+    """``lockstep``'s float case, chains with no stopping rule on
+    one-dimensional shell models with at most one break and norm reward
+    stepped one at a time, against ``_lockstep``, its oracle, reached by
+    patching the selection off: the same steps, totals, divergence and
+    next draw of every generator."""
 
     @staticmethod
     def run(system, k, n_steps, x0=None, eps_stop=None, seed=3):
@@ -683,17 +681,27 @@ class TestFloatLockstep:
         assert draws == want[2]
         return steps
 
-    @pytest.mark.parametrize("eps_stop", [None, 1e-3])
+    @pytest.mark.parametrize("x0", [None, 5.0, -40.0])
     @pytest.mark.parametrize("name", list(FLOAT_MODELS))
-    def test_equals_kernel(self, monkeypatch, name, eps_stop):
+    def test_equals_kernel(self, monkeypatch, name, x0):
         system = model, cl, spec = FLOAT_MODELS[name]()
         assert model_mod._float_shells(cl, model, spec) is not None
-        stopped = 0
-        for x0, n_steps, k in itertools.product(
-                (None, [5.0], [-40.0]), (1, 2, 16, 17, 3901), (1, 50, 129)):
-            steps = self.check(monkeypatch, system, k, n_steps, x0, eps_stop)
-            stopped += int((steps < n_steps).sum())
-        assert (stopped > 0) == (eps_stop is not None)
+        for n_steps, k in itertools.product((1, 2, 16, 17, 3901),
+                                            (1, 50, 129)):
+            steps = self.check(monkeypatch, system, k, n_steps,
+                               None if x0 is None else [x0])
+            assert (steps == n_steps).all()
+
+    def test_rule_takes_the_kernel(self, monkeypatch):
+        # A chain under a stopping rule never steps as Python floats.
+        def unreachable(*args):
+            raise AssertionError("a chain under a rule took the float case")
+
+        monkeypatch.setattr(model_mod, "_float_chain", unreachable)
+        model, cl, spec = bench()
+        rngs = [np.random.default_rng([3, t]) for t in range(50)]
+        steps, _ = lockstep(cl, model, spec, rngs, 10**5, eps_stop=1e-3)
+        assert (steps < 10**5).all()
 
     @pytest.mark.parametrize("name", [name for name in FLOAT_MODELS
                                       if name != "one-shell"])
@@ -729,18 +737,29 @@ class TestFloatLockstep:
 
     LAYOUTS = ["first-group", "early-first", "second-group", "across-groups"]
 
-    def check_group_earliest(self, monkeypatch, layout, system, n_steps,
-                             eps_stop):
-        """Runs 300 chains alone, then a group layout of two that diverge
-        and ones that finish: ``lockstep`` raises the kernel's error, the
-        earliest divergence of the first group that has one."""
+    @staticmethod
+    @functools.cache
+    def alone(gains, n_steps, eps_stop):
+        """Each of 300 chains of ``bench(1, *gains)`` run alone: its step
+        count, or minus the step it diverges at."""
         outcomes = []
         for t in range(300):
             try:
-                outcomes.append(int(self.run(system, 1, n_steps, None,
-                                             eps_stop, [5, t])[0][0]))
+                outcomes.append(int(TestFloatLockstep.run(
+                    bench(1, *gains), 1, n_steps, None, eps_stop,
+                    [5, t])[0][0]))
             except DivergenceError as exc:
                 outcomes.append(-exc.step_index)
+        return outcomes
+
+    def check_group_earliest(self, monkeypatch, layout, gains, n_steps,
+                             eps_stop):
+        """Runs 300 chains alone, then a group layout of two that diverge
+        and ones that finish: ``lockstep`` raises the earliest divergence
+        of the first group that has one, and with no rule the float case
+        raises the kernel's error."""
+        system = bench(1, *gains)
+        outcomes = self.alone(gains, n_steps, eps_stop)
         finished = [t for t, o in enumerate(outcomes) if o > 0]
         late, early = sorted((t for t, o in enumerate(outcomes) if o < 0),
                              key=lambda t: outcomes[t])[:2]
@@ -760,15 +779,17 @@ class TestFloatLockstep:
                 lockstep(cl, model, spec, rngs, n_steps, eps_stop=eps_stop)
             return info.value.step_index, info.value.norm
         got = report()
-        assert got == self.kernel(monkeypatch, report)
+        if eps_stop is None:    # under a rule both would run the kernel
+            assert got == self.kernel(monkeypatch, report)
         assert got[0] == -outcomes[first]
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_group_earliest_divergence(self, monkeypatch, layout):
         # Inner gain 2, outer 1.03: every chain that the rule does not
-        # stop within a few steps diverges near step 11,600.
-        self.check_group_earliest(monkeypatch, layout,
-                                  bench(1, 1.03, 2.0, 10.0), 20_000, 0.5)
+        # stop within a few steps diverges near step 11,600.  The kernel
+        # alone checks its earliest step under a rule here.
+        self.check_group_earliest(monkeypatch, layout, (1.03, 2.0, 10.0),
+                                  20_000, 0.5)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_group_earliest_divergence_with_no_rule(self, monkeypatch,
@@ -776,8 +797,8 @@ class TestFloatLockstep:
         # Inner gain 0.5, outer 2 past 4.5: a chain diverges some 500
         # steps after it first leaves the ball, 87 of the 300 within
         # 5,000 steps.  Each diverging chunk fails its unchecked pass.
-        self.check_group_earliest(monkeypatch, layout,
-                                  bench(1, 2.0, 0.5, 4.5), 5_000, None)
+        self.check_group_earliest(monkeypatch, layout, (2.0, 0.5, 4.5),
+                                  5_000, None)
 
     @pytest.mark.parametrize("name", list(FLOAT_MODELS))
     def test_run_of_several_chunks(self, monkeypatch, name):
